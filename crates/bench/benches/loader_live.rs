@@ -1,12 +1,12 @@
-//! Times the end-to-end offloading data loader over the live in-process
-//! storage server (real bytes, real threads, throttled pipes).
+//! Times the end-to-end offloading data loader over a live loopback
+//! storage server (real bytes, real threads, a throttled link).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use sophon::OffloadPlan;
-use storage::{ObjectStore, ServerConfig, StorageServer};
+use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const N: u64 = 16;
 
@@ -25,16 +25,18 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("epoch_{N}samples/{name}"), |b| {
             b.iter_batched(
                 || {
-                    let mut server = StorageServer::spawn(
+                    let server = TcpStorageServer::bind(
                         store.clone(),
                         ServerConfig {
                             cores: 4,
                             bandwidth: Bandwidth::from_gbps(10.0),
-                            queue_depth: 32,
                             ..ServerConfig::default()
                         },
-                    );
-                    let client = server.client();
+                        "127.0.0.1:0",
+                    )
+                    .expect("server binds");
+                    let client =
+                        TcpStorageClient::connect(server.local_addr()).expect("client connects");
                     let mut config = LoaderConfig::new(ds.seed, 8);
                     config.reencode_quality = reencode;
                     config.workers = 4;

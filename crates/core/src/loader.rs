@@ -1,8 +1,8 @@
 //! The offloading data loader — the downstream-facing API.
 //!
 //! [`OffloadingLoader`] is what a training loop actually consumes: it wraps
-//! a storage connection (in-process or TCP, via
-//! [`storage::FetchTransport`]), an [`OffloadPlan`], and the preprocessing
+//! a storage connection (any [`storage::FetchTransport`]: a TCP client or
+//! a decorator stacked on one), an [`OffloadPlan`], and the preprocessing
 //! pipeline, and yields collated NCHW [`TensorBatch`]es per epoch:
 //!
 //! 1. shuffles the sample order deterministically per epoch;
@@ -452,22 +452,27 @@ fn run_suffixes_parallel<F>(
 mod tests {
     use super::*;
     use netsim::Bandwidth;
-    use storage::{ObjectStore, ServerConfig, StorageServer};
+    use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
     const N: u64 = 10;
 
-    fn live_parts() -> (datasets::DatasetSpec, ObjectStore, StorageServer) {
+    fn serve(store: ObjectStore) -> TcpStorageServer {
+        let config = ServerConfig {
+            cores: 3,
+            bandwidth: Bandwidth::from_gbps(10.0),
+            ..ServerConfig::default()
+        };
+        TcpStorageServer::bind(store, config, "127.0.0.1:0").unwrap()
+    }
+
+    fn client(server: &TcpStorageServer) -> TcpStorageClient {
+        TcpStorageClient::connect(server.local_addr()).unwrap()
+    }
+
+    fn live_parts() -> (datasets::DatasetSpec, ObjectStore, TcpStorageServer) {
         let ds = datasets::DatasetSpec::mini(N, 55);
         let store = ObjectStore::materialize_dataset(&ds, 0..N);
-        let server = StorageServer::spawn(
-            store.clone(),
-            ServerConfig {
-                cores: 3,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
-                ..ServerConfig::default()
-            },
-        );
+        let server = serve(store.clone());
         (ds, store, server)
     }
 
@@ -687,10 +692,10 @@ mod tests {
 
     #[test]
     fn epoch_yields_all_batches_shuffled() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
         let mut loader = OffloadingLoader::new(
-            server.client(),
+            client(&server),
             PipelineSpec::standard_train(),
             plan,
             LoaderConfig::new(ds.seed, 4),
@@ -714,12 +719,12 @@ mod tests {
     fn loader_batches_match_local_preprocessing() {
         // The decisive property: the loader's tensors are identical to pure
         // local preprocessing of the same samples in the same epoch.
-        let (ds, store, mut server) = live_parts();
+        let (ds, store, server) = live_parts();
         let plan = make_plan(&ds);
         let pipeline = PipelineSpec::standard_train();
         let epoch = 3u64;
         let mut loader = OffloadingLoader::new(
-            server.client(),
+            client(&server),
             pipeline.clone(),
             plan,
             LoaderConfig::new(ds.seed, 5),
@@ -754,9 +759,9 @@ mod tests {
     fn mid_epoch_replan_keeps_batches_bit_identical() {
         // Swapping the plan between batches changes only *where* prefixes
         // run; the tensors must not move by a single bit.
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
-        let run = |client: storage::StorageClient,
+        let run = |client: TcpStorageClient,
                    replan: &mut dyn FnMut(usize) -> Option<OffloadPlan>| {
             let mut loader = OffloadingLoader::new(
                 client,
@@ -769,32 +774,20 @@ mod tests {
             loader.run_epoch_with_replan(2, |b| out.push(b.as_slice().to_vec()), replan).unwrap();
             out
         };
-        let steady = run(server.client(), &mut |_| None);
-        // Second server for a second client (single-consumer pipes).
-        let store2 = ObjectStore::materialize_dataset(&ds, 0..N);
-        let mut server2 = StorageServer::spawn(
-            store2,
-            ServerConfig {
-                cores: 3,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
-                ..ServerConfig::default()
-            },
-        );
+        let steady = run(client(&server), &mut |_| None);
         // Degraded-mode analogue: from batch 1 on, stop offloading.
         let raw_from_batch_1 =
-            run(server2.client(), &mut |batch| (batch == 1).then(|| OffloadPlan::none(N as usize)));
+            run(client(&server), &mut |batch| (batch == 1).then(|| OffloadPlan::none(N as usize)));
         assert_eq!(steady, raw_from_batch_1, "replan changed batch contents");
         server.shutdown();
-        server2.shutdown();
     }
 
     #[test]
     fn replan_of_the_wrong_length_is_rejected() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
         let mut loader = OffloadingLoader::new(
-            server.client(),
+            client(&server),
             PipelineSpec::standard_train(),
             plan,
             LoaderConfig::new(ds.seed, 4),
@@ -809,9 +802,9 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_batches() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
-        let run_with = |workers: usize, client: storage::StorageClient| {
+        let run_with = |workers: usize, client: TcpStorageClient| {
             let mut config = LoaderConfig::new(ds.seed, 5);
             config.workers = workers;
             let mut loader =
@@ -821,23 +814,10 @@ mod tests {
             loader.run_epoch(1, |b| out.push(b.as_slice().to_vec())).unwrap();
             out
         };
-        let serial = run_with(1, server.client());
-        // Second server for a second client (single-consumer pipes).
-        let ds2 = ds.clone();
-        let store2 = ObjectStore::materialize_dataset(&ds2, 0..N);
-        let mut server2 = StorageServer::spawn(
-            store2,
-            ServerConfig {
-                cores: 3,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
-                ..ServerConfig::default()
-            },
-        );
-        let parallel = run_with(4, server2.client());
+        let serial = run_with(1, client(&server));
+        let parallel = run_with(4, client(&server));
         assert_eq!(serial, parallel, "worker count changed batch contents");
         server.shutdown();
-        server2.shutdown();
     }
 
     #[test]
@@ -846,23 +826,16 @@ mod tests {
         // shapes, differ from the full-fidelity run (fewer coefficients
         // reached the decoder), and reproduce exactly across reruns.
         let ds = datasets::DatasetSpec::mini(N, 55);
-        let spawn = || {
-            StorageServer::spawn(
-                ObjectStore::materialize_dataset_tiered(&ds, 0..N, &codec::TierSpec::default()),
-                ServerConfig {
-                    cores: 3,
-                    bandwidth: Bandwidth::from_gbps(10.0),
-                    queue_depth: 32,
-                    ..ServerConfig::default()
-                },
-            )
-        };
         let run = |cap: Option<u8>| {
-            let mut server = spawn();
+            let server = serve(ObjectStore::materialize_dataset_tiered(
+                &ds,
+                0..N,
+                &codec::TierSpec::default(),
+            ));
             let mut config = LoaderConfig::new(ds.seed, 4);
             config.max_tier = cap;
             let mut loader = OffloadingLoader::new(
-                server.client(),
+                client(&server),
                 PipelineSpec::standard_train(),
                 OffloadPlan::none(N as usize),
                 config,
@@ -888,12 +861,12 @@ mod tests {
 
     #[test]
     fn compression_directive_preserves_shapes() {
-        let (ds, _store, mut server) = live_parts();
+        let (ds, _store, server) = live_parts();
         let plan = make_plan(&ds);
         let mut config = LoaderConfig::new(ds.seed, 4);
         config.reencode_quality = Some(85);
         let mut loader =
-            OffloadingLoader::new(server.client(), PipelineSpec::standard_train(), plan, config)
+            OffloadingLoader::new(client(&server), PipelineSpec::standard_train(), plan, config)
                 .unwrap();
         let mut total = 0usize;
         loader

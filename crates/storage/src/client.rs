@@ -1,13 +1,6 @@
-use std::collections::HashMap;
+use crate::wire::WireError;
 
-use crossbeam::channel;
-use netsim::PipeReceiver;
-use pipeline::{PipelineSpec, SplitPoint, StageData};
-
-use crate::protocol::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
-use crate::wire::{self, WireError};
-
-/// Errors surfaced to users of [`StorageClient`].
+/// Errors surfaced to storage clients and transports.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ClientError {
@@ -86,177 +79,5 @@ impl From<WireError> for ClientError {
             WireError::ChecksumMismatch => ClientError::Corrupted,
             other => ClientError::Wire(other),
         }
-    }
-}
-
-/// Compute-node endpoint of the storage protocol (in-process pipes).
-///
-/// Every request travels under a client-assigned `request_id`
-/// ([`wire`] format v2) and responses are claimed **by id**, so one
-/// session carries many pipelined in-flight exchanges, out-of-order
-/// completions route to the right caller even when a batch repeats a
-/// sample id, and a stale response can never satisfy the wrong request.
-/// The low-level surface is [`StorageClient::submit`] /
-/// [`StorageClient::await_response`]; the batch helpers are built on it.
-#[derive(Debug)]
-pub struct StorageClient {
-    req_tx: channel::Sender<bytes::Bytes>,
-    resp_rx: PipeReceiver,
-    /// Monotonic multiplexing id; 0 is reserved for server-side replies to
-    /// frames whose id could not be recovered.
-    next_id: u32,
-    /// Out-of-order responses waiting to be claimed, keyed by request id.
-    completed: HashMap<u32, Response>,
-}
-
-impl StorageClient {
-    pub(crate) fn new(req_tx: channel::Sender<bytes::Bytes>, resp_rx: PipeReceiver) -> Self {
-        StorageClient { req_tx, resp_rx, next_id: 1, completed: HashMap::new() }
-    }
-
-    fn alloc_id(&mut self) -> u32 {
-        let id = self.next_id;
-        // Skip the reserved id 0 on wrap.
-        self.next_id = self.next_id.checked_add(1).unwrap_or(1);
-        id
-    }
-
-    fn send_framed(&self, request_id: u32, req: &Request) -> Result<(), ClientError> {
-        self.req_tx
-            .send(wire::encode_request_framed(request_id, req))
-            .map_err(|_| ClientError::Disconnected)
-    }
-
-    fn recv_framed(&mut self) -> Result<(u32, Response), ClientError> {
-        let bytes = self.resp_rx.recv().map_err(|_| ClientError::Disconnected)?;
-        Ok(wire::decode_response_framed(&bytes)?)
-    }
-
-    /// Submits one fetch without waiting, returning the id to await.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Disconnected`] when the server is gone.
-    pub fn submit(&mut self, req: FetchRequest) -> Result<u32, ClientError> {
-        let id = self.alloc_id();
-        self.send_framed(id, &Request::Fetch(req))?;
-        Ok(id)
-    }
-
-    /// Blocks until the response for `id` arrives, buffering any other
-    /// in-flight completions for their own `await_response` calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError`] on disconnection, malformed responses, or a
-    /// server-reported failure for this request.
-    pub fn await_response(&mut self, id: u32) -> Result<FetchResponse, ClientError> {
-        loop {
-            if let Some(resp) = self.completed.remove(&id) {
-                return match resp {
-                    Response::Data(d) => Ok(d),
-                    Response::Error { sample_id, message } => Err(server_error(sample_id, message)),
-                    Response::Configured => Err(ClientError::UnexpectedResponse),
-                };
-            }
-            let (rid, resp) = self.recv_framed()?;
-            self.completed.insert(rid, resp);
-        }
-    }
-
-    /// Configures the session pipeline; must precede fetches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError`] on disconnection, malformed responses, or a
-    /// server-side failure.
-    pub fn configure(
-        &mut self,
-        dataset_seed: u64,
-        pipeline: PipelineSpec,
-    ) -> Result<(), ClientError> {
-        let id = self.alloc_id();
-        self.send_framed(id, &Request::Configure(SessionConfig { dataset_seed, pipeline }))?;
-        loop {
-            if let Some(resp) = self.completed.remove(&id) {
-                return match resp {
-                    Response::Configured => Ok(()),
-                    Response::Error { sample_id, message } => Err(server_error(sample_id, message)),
-                    Response::Data(_) => Err(ClientError::UnexpectedResponse),
-                };
-            }
-            let (rid, resp) = self.recv_framed()?;
-            self.completed.insert(rid, resp);
-        }
-    }
-
-    /// Fetches one sample with an offload directive, blocking for its data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError`] on disconnection, malformed responses, or a
-    /// server-reported failure for this sample.
-    pub fn fetch(
-        &mut self,
-        sample_id: u64,
-        epoch: u64,
-        split: SplitPoint,
-    ) -> Result<StageData, ClientError> {
-        let id = self.submit(FetchRequest::new(sample_id, epoch, split))?;
-        Ok(self.await_response(id)?.data)
-    }
-
-    /// Fetches with full request control (offload split plus optional
-    /// transfer-time re-compression), blocking for the response.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as `fetch`.
-    pub fn fetch_request(&mut self, req: FetchRequest) -> Result<FetchResponse, ClientError> {
-        let id = self.submit(req)?;
-        self.await_response(id)
-    }
-
-    /// Issues all requests up front, then collects every response
-    /// (pipelined; completions claimed by id, returned in request order).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure; remaining in-flight responses are
-    /// buffered for later calls.
-    pub fn fetch_many(
-        &mut self,
-        requests: &[(u64, u64, SplitPoint)],
-    ) -> Result<Vec<FetchResponse>, ClientError> {
-        let full: Vec<FetchRequest> = requests
-            .iter()
-            .map(|&(sample_id, epoch, split)| FetchRequest::new(sample_id, epoch, split))
-            .collect();
-        self.fetch_many_requests(&full)
-    }
-
-    /// Pipelined variant of [`StorageClient::fetch_many`] with full request
-    /// control (splits plus optional re-compression directives).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure.
-    pub fn fetch_many_requests(
-        &mut self,
-        requests: &[FetchRequest],
-    ) -> Result<Vec<FetchResponse>, ClientError> {
-        let ids: Vec<u32> =
-            requests.iter().map(|req| self.submit(*req)).collect::<Result<_, _>>()?;
-        ids.into_iter().map(|id| self.await_response(id)).collect()
-    }
-
-    /// Requests a graceful server shutdown (workers drain and exit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError::Disconnected`] when the server is already
-    /// gone.
-    pub fn shutdown_server(&self) -> Result<(), ClientError> {
-        self.send_framed(0, &Request::Shutdown)
     }
 }

@@ -1,5 +1,5 @@
 //! The remote storage node: object store, fetch protocol, near-storage
-//! execution, and a live threaded server.
+//! execution, and a live TCP server.
 //!
 //! This crate is the paper's storage server (Figure 2, steps d–e): the
 //! compute node sends **fetch requests carrying offload directives** — which
@@ -8,23 +8,26 @@
 //!
 //! * [`ObjectStore`] — the in-memory dataset cache (the paper pins its
 //!   subsets in RAM).
-//! * [`wire`] — a hand-rolled, length-prefixed binary wire format for
-//!   requests, responses, and [`pipeline::StageData`] payloads. Decoding is
-//!   total: corrupt bytes produce errors, never panics.
+//! * [`wire`] — a hand-rolled, length-prefixed binary wire format with one
+//!   frame layout per direction for requests, responses, and
+//!   [`pipeline::StageData`] payloads. Decoding is total: corrupt bytes
+//!   produce errors, never panics.
 //! * [`NearStorageExecutor`] — applies an offloaded pipeline prefix to a
 //!   stored object, reproducing exactly what the compute node would have
 //!   computed (deterministic per-(sample, epoch, op) augmentation streams).
-//! * [`StorageServer`] / [`StorageClient`] — a real multi-threaded server
-//!   and its client, connected by bandwidth-throttled in-process pipes
-//!   ([`netsim::ThrottledPipe`]), so end-to-end examples move real bytes
-//!   through a real 500 Mbps bottleneck.
+//! * [`TcpStorageServer`] / [`TcpStorageClient`] — the one serving path: a
+//!   readiness-driven, multiplexed, tenant-aware server whose responses
+//!   leave through a token bucket at [`ServerConfig::bandwidth`], and its
+//!   pipelined client. Examples and tests bind it on loopback, so they move
+//!   real bytes through a real throttled link.
+//! * [`FetchTransport`] — the client-side trait the loader consumes, which
+//!   retry, caching, fault-injection and fleet decorators also implement.
 //!
-//! The failure-handling layer (this crate's chaos era):
+//! The failure-handling layer:
 //!
 //! * [`wire`] frames carry a CRC32 trailer; bit corruption surfaces as
 //!   [`wire::WireError::ChecksumMismatch`] → [`ClientError::Corrupted`].
-//! * [`Deadline`] — per-exchange time budgets on [`TcpStorageClient`],
-//!   replacing the old hardcoded read timeout.
+//! * [`Deadline`] — per-exchange time budgets on [`TcpStorageClient`].
 //! * [`chaos`] — seeded, deterministic fault injection (client decorator
 //!   and server-side injector) over `(sample, epoch, attempt)` keys.
 //! * [`health`] — a circuit breaker per node:
@@ -34,7 +37,7 @@
 //! # Example
 //!
 //! ```
-//! use storage::{ObjectStore, StorageServer, ServerConfig};
+//! use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 //! use pipeline::{PipelineSpec, SplitPoint};
 //! use netsim::Bandwidth;
 //!
@@ -42,13 +45,10 @@
 //! let ds = datasets::DatasetSpec::mini(3, 9);
 //! let store = ObjectStore::materialize_dataset(&ds, 0..3);
 //!
-//! let mut server = StorageServer::spawn(store, ServerConfig {
-//!     cores: 2,
-//!     bandwidth: Bandwidth::from_gbps(10.0),
-//!     queue_depth: 16,
-//!     ..ServerConfig::default()
-//! });
-//! let mut client = server.client();
+//! let config =
+//!     ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() };
+//! let server = TcpStorageServer::bind(store, config, "127.0.0.1:0").unwrap();
+//! let mut client = TcpStorageClient::connect(server.local_addr()).unwrap();
 //! client.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
 //! // Offload Decode + RandomResizedCrop for sample 1, epoch 0.
 //! let data = client.fetch(1, 0, SplitPoint::new(2)).unwrap();
@@ -68,13 +68,12 @@ pub mod multi;
 mod object_store;
 pub mod protocol;
 mod retry;
-mod server;
 pub mod tcp;
 mod transport;
 pub mod wire;
 
 pub use chaos::{FaultInjectingTransport, FaultKind, FaultPlan, FaultRecord, ServerFaultInjector};
-pub use client::{ClientError, StorageClient};
+pub use client::ClientError;
 pub use deadline::Deadline;
 pub use executor::{ExecError, NearStorageExecutor};
 pub use health::{
@@ -84,6 +83,5 @@ pub use multi::{HarnessError, MultiServerHarness};
 pub use object_store::ObjectStore;
 pub use protocol::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
 pub use retry::{BackoffConfig, RetryingTransport};
-pub use server::{ServerConfig, StorageServer};
-pub use tcp::{TcpStorageClient, TcpStorageServer};
+pub use tcp::{ServerConfig, TcpStorageClient, TcpStorageServer};
 pub use transport::FetchTransport;

@@ -342,12 +342,7 @@ mod tests {
     use pipeline::{PipelineSpec, SplitPoint};
 
     fn config() -> ServerConfig {
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        }
+        ServerConfig { cores: 2, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() }
     }
 
     #[test]

@@ -69,8 +69,6 @@ pub enum Request {
     Configure(SessionConfig),
     /// Fetch one sample.
     Fetch(FetchRequest),
-    /// Ask the server to stop after draining queued work.
-    Shutdown,
 }
 
 /// A successful fetch result.
@@ -84,7 +82,7 @@ pub struct FetchResponse {
     pub data: StageData,
     /// The fidelity tier the payload was truncated to, when the server
     /// browned out this sample; `None` means the full encoding was served.
-    /// Carried on the wire under the CRC trailer since wire version 4.
+    /// Carried on the wire as the data body's last byte, under the CRC.
     pub tier: Option<u8>,
 }
 

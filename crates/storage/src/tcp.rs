@@ -1,16 +1,16 @@
-//! A real TCP transport for the fetch protocol — pipelined and
-//! multiplexed.
+//! The storage server and its client over TCP — pipelined and
+//! multiplexed. This is the crate's one serving path: examples, tests and
+//! benchmarks bind it on `127.0.0.1:0` and connect over loopback.
 //!
-//! [`StorageServer`](crate::StorageServer) demonstrates the data path with
-//! in-process pipes; this module runs the same protocol over actual
-//! sockets. Since the serving-path rebuild the server is
-//! **readiness-driven**: one event-loop thread owns every connection as a
-//! nonblocking `TcpStream`, demultiplexes incoming frames by their
-//! [`wire`] `request_id` into the shared worker pool, and muxes completed
-//! responses back out of order onto the right connection. A single
-//! connection therefore carries many in-flight exchanges at once, bounded
-//! by [`ServerConfig::max_in_flight`] — past that depth the loop stops
-//! reading the socket and TCP backpressure propagates to the client.
+//! The server is **readiness-driven**: one event-loop thread owns every
+//! connection as a nonblocking `TcpStream`, demultiplexes incoming frames
+//! by their [`wire`] `request_id` into the shared worker pool, and muxes
+//! completed responses back out of order onto the right connection. A
+//! single connection therefore carries many in-flight exchanges at once,
+//! bounded by [`ServerConfig::max_in_flight`] — past that depth the loop
+//! stops reading the socket and TCP backpressure propagates to the client.
+//! Response bytes leave through one token bucket at
+//! [`ServerConfig::bandwidth`], the throttled link of the paper's testbed.
 //!
 //! The hot path is allocation-conscious end to end: frames decode in
 //! place out of per-connection scratch buffers that persist across frames,
@@ -20,21 +20,24 @@
 //!
 //! Frame format: `u32` little-endian payload length (capped at
 //! [`wire::MAX_PAYLOAD`]) followed by the payload (a [`wire`]-encoded
-//! request or response, which itself opens with the
-//! `ver request_id` multiplexing header and ends with the CRC32 trailer).
+//! request or response, which itself opens with the version byte and
+//! `request_id` and ends with the CRC32 trailer). Both ends read frames
+//! with the same incremental reader; a peer that declares an over-cap
+//! length loses its connection (server side) or gets a typed
+//! [`ClientError::Wire`] (client side).
 //!
 //! # Multi-tenancy
 //!
-//! The server is tenant-aware: v3 request frames carry a `tenant_id`
-//! (v2 frames resolve to [`TenantId::DEFAULT`] unless the
-//! [`TenantPolicy`] requires explicit ids), and dispatch to the worker
-//! pool goes through a per-tenant deficit-weighted round-robin scheduler
-//! instead of a FIFO — a backlogged tenant cannot starve others past its
-//! weight share. Admission control runs at decode time: a tenant over
-//! its in-flight bound or byte quota gets a typed, retryable
-//! `tenant-throttled` error reply instead of a queue slot, and
-//! per-tenant quota buckets are charged where pacing already happens —
-//! at encode, when response bytes reach the wire.
+//! The server is tenant-aware: every request frame carries a `tenant_id`
+//! ([`TenantId::DEFAULT`] unless the client sets one with
+//! [`TcpStorageClient::with_tenant`]), and dispatch to the worker pool goes
+//! through a per-tenant deficit-weighted round-robin scheduler instead of a
+//! FIFO — a backlogged tenant cannot starve others past its weight share.
+//! Admission control runs at decode time: a tenant over its in-flight
+//! bound or byte quota gets a typed, retryable `tenant-throttled` error
+//! reply instead of a queue slot, and per-tenant quota buckets are charged
+//! where pacing already happens — at encode, when response bytes reach the
+//! wire.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -45,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use netsim::{TokenBucket, TrafficMeter};
+use netsim::{Bandwidth, TokenBucket, TrafficMeter};
 use parking_lot::RwLock;
 use pipeline::{PipelineSpec, SplitPoint, StageData};
 use tenant::{ByteBudget, DwrrScheduler, TenantId, TenantPolicy, TenantStats};
@@ -54,27 +57,11 @@ use crate::chaos::{FaultDirective, FaultKind, ServerFaultInjector};
 use crate::client::{server_error, TENANT_THROTTLED_PREFIX};
 use crate::protocol::{FetchRequest, FetchResponse, Request, Response};
 use crate::wire::{self, WireError};
-use crate::{chaos, ClientError, Deadline, NearStorageExecutor, ObjectStore, ServerConfig};
+use crate::{chaos, ClientError, Deadline, NearStorageExecutor, ObjectStore};
 
-/// Writes one length-prefixed frame.
-///
-/// # Errors
-///
-/// Propagates socket errors; an over-cap payload surfaces as
-/// `InvalidInput` before any bytes hit the wire.
-pub fn write_frame<W: Write>(mut w: W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() as u64 > u64::from(wire::MAX_PAYLOAD) {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame over cap"));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Writes one length-prefixed frame as a vectored `header+payload` pair —
-/// the zero-copy variant of [`write_frame`]: the 4-byte length header and
-/// the payload reach the socket in single `writev`-style calls without
-/// being glued into an intermediate buffer.
+/// Writes one length-prefixed frame as a vectored `header+payload` pair:
+/// the 4-byte length header and the payload reach the socket in single
+/// `writev`-style calls without being glued into an intermediate buffer.
 ///
 /// # Errors
 ///
@@ -102,38 +89,6 @@ pub fn write_frame_vectored<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<(
     w.flush()
 }
 
-/// Reads one length-prefixed frame into a fresh buffer.
-///
-/// # Errors
-///
-/// Propagates socket errors; oversized declared lengths surface as
-/// `InvalidData` before any allocation.
-pub fn read_frame<R: Read>(mut r: R) -> io::Result<Vec<u8>> {
-    let mut payload = Vec::new();
-    read_frame_into(&mut r, &mut payload)?;
-    Ok(payload)
-}
-
-/// Reads one length-prefixed frame into `payload` (cleared first), reusing
-/// its capacity — the hot-path variant of [`read_frame`]: a steady-state
-/// connection reads frames with zero per-frame allocations.
-///
-/// # Errors
-///
-/// Propagates socket errors; oversized declared lengths surface as
-/// `InvalidData` before any allocation.
-pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<()> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > wire::MAX_PAYLOAD {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length over cap"));
-    }
-    payload.clear();
-    payload.resize(len as usize, 0);
-    r.read_exact(payload)
-}
-
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
@@ -158,9 +113,12 @@ struct Reply {
     fault: Option<FaultDirective>,
 }
 
-/// Incremental nonblocking frame reader: per-connection scratch that
-/// persists across frames (and across `WouldBlock`s mid-frame), so a
-/// steady-state connection parses frames with zero allocations.
+/// Incremental frame reader shared by both ends of a connection. The
+/// length header and payload are read in whatever pieces the socket
+/// yields, and the state persists across `WouldBlock`s and read timeouts,
+/// so a partial frame resumes exactly where it stopped (a deadline expiry
+/// never desynchronizes the stream). The payload buffer keeps its capacity
+/// across frames, so steady-state reading is allocation-free.
 #[derive(Debug, Default)]
 struct FrameReader {
     header: [u8; 4],
@@ -171,56 +129,61 @@ struct FrameReader {
 }
 
 /// Outcome of one [`FrameReader::poll`] step.
+#[derive(Debug, PartialEq, Eq)]
 enum ReadStatus {
     /// A complete frame is buffered; process it, then call `reset`.
     Frame,
-    /// No more bytes available right now.
+    /// Bytes arrived (or the read was interrupted); poll again.
+    Progress,
+    /// No bytes available right now (nonblocking socket or read timeout).
     WouldBlock,
     /// Peer closed the read half (or the stream hard-errored).
     Closed,
+    /// The peer declared a frame longer than [`wire::MAX_PAYLOAD`].
+    Oversize,
 }
 
 impl FrameReader {
-    /// Advances by at most one frame worth of reads on a nonblocking
-    /// stream.
+    /// Advances the current frame with at most one `read` call, so the
+    /// caller can check its own budget between reads.
     fn poll<R: Read>(&mut self, r: &mut R) -> ReadStatus {
-        loop {
-            if let Some(want) = self.expect {
-                if self.payload_got == want {
-                    return ReadStatus::Frame;
-                }
-                match r.read(&mut self.payload[self.payload_got..]) {
-                    Ok(0) => return ReadStatus::Closed,
-                    Ok(n) => self.payload_got += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return ReadStatus::WouldBlock
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return ReadStatus::Closed,
-                }
-            } else {
-                match r.read(&mut self.header[self.header_got..]) {
-                    Ok(0) => return ReadStatus::Closed,
-                    Ok(n) => {
-                        self.header_got += n;
-                        if self.header_got == 4 {
-                            let len = u32::from_le_bytes(self.header);
-                            if len > wire::MAX_PAYLOAD {
-                                return ReadStatus::Closed;
-                            }
-                            self.expect = Some(len as usize);
-                            self.payload.clear();
-                            self.payload.resize(len as usize, 0);
-                            self.payload_got = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return ReadStatus::WouldBlock
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return ReadStatus::Closed,
-                }
+        let buf = match self.expect {
+            Some(want) if self.payload_got == want => return ReadStatus::Frame,
+            Some(_) => &mut self.payload[self.payload_got..],
+            None => &mut self.header[self.header_got..],
+        };
+        match r.read(buf) {
+            Ok(0) => ReadStatus::Closed,
+            Ok(n) if self.expect.is_some() => {
+                self.payload_got += n;
+                self.status()
             }
+            Ok(n) => {
+                self.header_got += n;
+                if self.header_got < self.header.len() {
+                    return ReadStatus::Progress;
+                }
+                let len = u32::from_le_bytes(self.header);
+                if len > wire::MAX_PAYLOAD {
+                    return ReadStatus::Oversize;
+                }
+                self.expect = Some(len as usize);
+                self.payload.resize(len as usize, 0);
+                self.status()
+            }
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                ReadStatus::WouldBlock
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => ReadStatus::Progress,
+            Err(_) => ReadStatus::Closed,
+        }
+    }
+
+    fn status(&self) -> ReadStatus {
+        if self.expect == Some(self.payload_got) {
+            ReadStatus::Frame
+        } else {
+            ReadStatus::Progress
         }
     }
 
@@ -357,6 +320,38 @@ impl Admission {
     }
 }
 
+/// Configuration of a storage server.
+#[derive(Debug, Clone, Copy)]
+pub struct ServerConfig {
+    /// Worker threads for near-storage preprocessing (the storage node's
+    /// preprocessing core count in the paper's Figure 4 sweep).
+    pub cores: usize,
+    /// Bandwidth cap on the response path (the 500 Mbps link).
+    pub bandwidth: Bandwidth,
+    /// How often blocking waits wake to check for shutdown — the idle
+    /// poll granularity.
+    pub read_poll: Duration,
+    /// Backpressure bound: how many decoded requests one connection may
+    /// have in flight before the event loop stops reading its socket (TCP
+    /// backpressure then propagates to the client). Connections beyond
+    /// this depth are never starved — reading resumes as soon as responses
+    /// drain.
+    pub max_in_flight: usize,
+}
+
+impl Default for ServerConfig {
+    /// Two cores behind a 1 Gbps link, default poll, 64 in-flight requests
+    /// per connection.
+    fn default() -> Self {
+        ServerConfig {
+            cores: 2,
+            bandwidth: Bandwidth::from_gbps(1.0),
+            read_poll: crate::Deadline::DEFAULT_POLL,
+            max_in_flight: 64,
+        }
+    }
+}
+
 /// A storage server listening on a real TCP socket.
 #[derive(Debug)]
 pub struct TcpStorageServer {
@@ -402,7 +397,7 @@ impl TcpStorageServer {
 
     /// Like [`TcpStorageServer::bind_with_injector`], but serving under a
     /// [`TenantPolicy`]: requests are attributed to the tenant id in
-    /// their (v3) frame, dispatched in deficit-weighted round-robin order
+    /// their frame, dispatched in deficit-weighted round-robin order
     /// across tenants, paced against per-tenant byte quotas, and rejected
     /// with a retryable throttle error past a tenant's in-flight bound or
     /// quota debt. The default policy reproduces the pre-tenancy
@@ -797,15 +792,10 @@ impl EventLoop {
         let mut progressed = false;
         while conn.in_flight < self.max_in_flight {
             match conn.reader.poll(&mut conn.stream) {
+                ReadStatus::Progress => {}
                 ReadStatus::Frame => {
                     progressed = true;
-                    let require = self.admission.policy.require_tenant_id;
-                    match wire::decode_request_tenant(conn.reader.frame(), require) {
-                        Ok((_, _, Request::Shutdown)) => {
-                            self.stop.store(true, Ordering::SeqCst);
-                            conn.reader.reset();
-                            return true;
-                        }
+                    match wire::decode_request_framed(conn.reader.frame()) {
                         Ok((request_id, tenant_raw, request)) => {
                             let tenant = TenantId(tenant_raw);
                             if let Some(message) = self.admission.check(tenant) {
@@ -860,6 +850,12 @@ impl EventLoop {
                 ReadStatus::WouldBlock => break,
                 ReadStatus::Closed => {
                     conn.peer_closed = true;
+                    break;
+                }
+                // The stream cannot be resynchronized past a bogus length:
+                // drop this connection only.
+                ReadStatus::Oversize => {
+                    conn.dead = true;
                     break;
                 }
             }
@@ -920,7 +916,6 @@ fn worker_loop(
                     (response, fault)
                 }
             }
-            Request::Shutdown => continue, // handled at the connection layer
         };
         let reply = Reply {
             conn: job.conn,
@@ -939,29 +934,6 @@ fn worker_loop(
 // Client
 // ---------------------------------------------------------------------------
 
-/// Partially read frame state, persisted across deadline expiries so a
-/// timed-out read never desynchronizes the stream: the next call resumes
-/// the same frame exactly where the budget ran out. The payload buffer is
-/// reused across frames, so steady-state receiving is allocation-free.
-#[derive(Debug, Default)]
-struct FrameState {
-    header: [u8; 4],
-    header_got: usize,
-    payload: Vec<u8>,
-    payload_got: usize,
-    expect: Option<usize>,
-}
-
-impl FrameState {
-    /// Clears per-frame state while keeping the payload buffer's capacity.
-    fn reset(&mut self) {
-        self.header_got = 0;
-        self.payload_got = 0;
-        self.expect = None;
-        self.payload.clear();
-    }
-}
-
 /// Client for a [`TcpStorageServer`], with a pipelined exchange API.
 ///
 /// [`TcpStorageClient::submit`] puts a fetch on the wire and returns its
@@ -979,14 +951,12 @@ impl FrameState {
 pub struct TcpStorageClient {
     stream: TcpStream,
     deadline: Deadline,
-    /// Tenant identity stamped on every request frame. `None` sends
-    /// legacy v2 (tenant-less) frames, which a tenant-aware server
-    /// attributes to [`TenantId::DEFAULT`].
-    tenant: Option<u16>,
+    /// Tenant identity stamped on every request frame.
+    tenant: u16,
     /// Monotonic multiplexing id; 0 is reserved for server-side replies to
     /// frames whose id could not be recovered.
     next_id: u32,
-    frame: FrameState,
+    reader: FrameReader,
     /// Reusable request-encode buffer: steady-state sends are
     /// allocation-free.
     send_buf: Vec<u8>,
@@ -1013,9 +983,9 @@ impl TcpStorageClient {
         Ok(TcpStorageClient {
             stream,
             deadline: Deadline::NONE,
-            tenant: None,
+            tenant: TenantId::DEFAULT.0,
             next_id: 1,
-            frame: FrameState::default(),
+            reader: FrameReader::default(),
             send_buf: Vec::new(),
             outstanding: HashMap::new(),
             completed: HashMap::new(),
@@ -1041,22 +1011,12 @@ impl TcpStorageClient {
         self.deadline
     }
 
-    /// Sets the tenant identity stamped on every subsequent request
-    /// frame (switches the connection to wire v3 framing).
-    pub fn set_tenant(&mut self, tenant: u16) {
-        self.tenant = Some(tenant);
-    }
-
-    /// Builder form of [`TcpStorageClient::set_tenant`].
+    /// Stamps `tenant` on every request frame instead of
+    /// [`TenantId::DEFAULT`].
     #[must_use]
     pub fn with_tenant(mut self, tenant: u16) -> TcpStorageClient {
-        self.tenant = Some(tenant);
+        self.tenant = tenant;
         self
-    }
-
-    /// The tenant identity, when one is set.
-    pub fn tenant(&self) -> Option<u16> {
-        self.tenant
     }
 
     fn alloc_id(&mut self) -> u32 {
@@ -1067,10 +1027,7 @@ impl TcpStorageClient {
     }
 
     fn send_framed(&mut self, request_id: u32, req: &Request) -> Result<(), ClientError> {
-        match self.tenant {
-            Some(t) => wire::encode_request_tenant_into(request_id, t, req, &mut self.send_buf),
-            None => wire::encode_request_into(request_id, req, &mut self.send_buf),
-        }
+        wire::encode_request_into(request_id, self.tenant, req, &mut self.send_buf);
         write_frame_vectored(&mut self.stream, &self.send_buf)
             .map_err(|_| ClientError::Disconnected)
     }
@@ -1103,15 +1060,7 @@ impl TcpStorageClient {
         let mut batch: Vec<u8> = Vec::new();
         for req in requests {
             let id = self.alloc_id();
-            match self.tenant {
-                Some(t) => wire::encode_request_tenant_into(
-                    id,
-                    t,
-                    &Request::Fetch(*req),
-                    &mut self.send_buf,
-                ),
-                None => wire::encode_request_into(id, &Request::Fetch(*req), &mut self.send_buf),
-            }
+            wire::encode_request_into(id, self.tenant, &Request::Fetch(*req), &mut self.send_buf);
             batch.extend_from_slice(&(self.send_buf.len() as u32).to_le_bytes());
             batch.extend_from_slice(&self.send_buf);
             ids.push(id);
@@ -1143,43 +1092,12 @@ impl TcpStorageClient {
                 }
             };
             self.stream.set_read_timeout(timeout).map_err(|_| ClientError::Disconnected)?;
-            let st = &mut self.frame;
-            if let Some(want) = st.expect {
-                if st.payload_got == want {
-                    return Ok(());
-                }
-                match self.stream.read(&mut st.payload[st.payload_got..]) {
-                    Ok(0) => return Err(ClientError::Disconnected),
-                    Ok(n) => st.payload_got += n,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut
-                            || e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return Err(ClientError::Disconnected),
-                }
-            } else {
-                match self.stream.read(&mut st.header[st.header_got..]) {
-                    Ok(0) => return Err(ClientError::Disconnected),
-                    Ok(n) => {
-                        st.header_got += n;
-                        if st.header_got == 4 {
-                            let len = u32::from_le_bytes(st.header);
-                            if len > wire::MAX_PAYLOAD {
-                                return Err(ClientError::Wire(WireError::Invalid(
-                                    "frame length over cap",
-                                )));
-                            }
-                            st.expect = Some(len as usize);
-                            st.payload.clear();
-                            st.payload.resize(len as usize, 0);
-                            st.payload_got = 0;
-                        }
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut
-                            || e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return Err(ClientError::Disconnected),
+            match self.reader.poll(&mut self.stream) {
+                ReadStatus::Frame => return Ok(()),
+                ReadStatus::Progress | ReadStatus::WouldBlock => {}
+                ReadStatus::Closed => return Err(ClientError::Disconnected),
+                ReadStatus::Oversize => {
+                    return Err(ClientError::Wire(WireError::Invalid("frame length over cap")))
                 }
             }
         }
@@ -1191,8 +1109,8 @@ impl TcpStorageClient {
         expiry: Option<Instant>,
     ) -> Result<(u32, Response), ClientError> {
         self.read_frame_within(expiry)?;
-        let result = wire::decode_response_framed(self.frame.frame_bytes());
-        self.frame.reset();
+        let result = wire::decode_response_framed(self.reader.frame());
+        self.reader.reset();
         Ok(result?)
     }
 
@@ -1346,17 +1264,9 @@ impl TcpStorageClient {
     }
 }
 
-impl FrameState {
-    /// The completed frame's bytes (valid once `expect == payload_got`).
-    fn frame_bytes(&self) -> &[u8] {
-        &self.payload[..self.payload_got]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::Bandwidth;
     use tenant::TenantSpec;
 
     fn spawn_server(n: u64, cores: usize) -> (TcpStorageServer, datasets::DatasetSpec) {
@@ -1367,7 +1277,6 @@ mod tests {
             ServerConfig {
                 cores,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
             "127.0.0.1:0",
@@ -1485,7 +1394,6 @@ mod tests {
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 max_in_flight: 4,
                 ..ServerConfig::default()
             },
@@ -1500,44 +1408,118 @@ mod tests {
         server.shutdown();
     }
 
+    /// Polls `reader` on a blocking stream until a whole frame is buffered.
+    fn read_whole_frame<R: Read>(reader: &mut FrameReader, r: &mut R) {
+        loop {
+            match reader.poll(r) {
+                ReadStatus::Frame => return,
+                ReadStatus::Progress => {}
+                other => panic!("no frame: {other:?}"),
+            }
+        }
+    }
+
     #[test]
-    fn frame_roundtrip_and_cap() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello frame").unwrap();
-        let got = read_frame(&buf[..]).unwrap();
-        assert_eq!(got, b"hello frame");
-        // The vectored writer produces bit-identical frames.
-        let mut vbuf = Vec::new();
-        write_frame_vectored(&mut vbuf, b"hello frame").unwrap();
-        assert_eq!(buf, vbuf);
-        // Oversized declared length is rejected before allocation.
-        let mut bogus = Vec::new();
-        bogus.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_frame(&bogus[..]).is_err());
+    fn frame_reader_reuses_its_buffer_across_frames() {
+        let mut stream = Vec::new();
+        for _ in 0..50 {
+            write_frame_vectored(&mut stream, b"abcdefgh").unwrap();
+        }
+        write_frame_vectored(&mut stream, b"").unwrap();
+        let mut cursor = &stream[..];
+        let mut reader = FrameReader::default();
+        read_whole_frame(&mut reader, &mut cursor);
+        let (ptr, cap) = (reader.payload.as_ptr(), reader.payload.capacity());
+        for _ in 0..49 {
+            reader.reset();
+            read_whole_frame(&mut reader, &mut cursor);
+            assert_eq!(reader.frame(), b"abcdefgh");
+        }
+        assert_eq!(reader.payload.as_ptr(), ptr, "read buffer reallocated on the hot path");
+        assert_eq!(reader.payload.capacity(), cap);
+        reader.reset();
+        read_whole_frame(&mut reader, &mut cursor);
+        assert_eq!(reader.frame(), b"", "an empty frame is still a frame");
+        assert_eq!(reader.poll(&mut cursor), ReadStatus::Frame);
+        reader.reset();
+        assert_eq!(reader.poll(&mut cursor), ReadStatus::Closed);
         // Oversized outbound payloads error instead of panicking.
         let big = vec![0u8; (wire::MAX_PAYLOAD as usize) + 1];
-        assert!(write_frame(Vec::new(), &big).is_err());
         assert!(write_frame_vectored(&mut Vec::new(), &big).is_err());
     }
 
     #[test]
-    fn read_frame_into_reuses_the_buffer() {
-        let mut wire_bytes = Vec::new();
-        write_frame(&mut wire_bytes, b"abcdefgh").unwrap();
-        let mut stream = Vec::new();
-        for _ in 0..50 {
-            stream.extend_from_slice(&wire_bytes);
+    fn oversize_length_header_drops_only_that_connection() {
+        let (server, ds) = spawn_server(2, 2);
+        let mut bystander = TcpStorageClient::connect(server.local_addr()).unwrap();
+        bystander.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+
+        let mut rogue = TcpStream::connect(server.local_addr()).unwrap();
+        rogue.write_all(&(wire::MAX_PAYLOAD + 1).to_le_bytes()).unwrap();
+        rogue.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // The server closes the rogue connection: its read sees EOF or a
+        // reset, not a timeout.
+        match rogue.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("rogue connection still open: {other:?}"),
         }
-        let mut cursor = &stream[..];
-        let mut buf = Vec::new();
-        read_frame_into(&mut cursor, &mut buf).unwrap();
-        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
-        for _ in 0..49 {
-            read_frame_into(&mut cursor, &mut buf).unwrap();
-            assert_eq!(buf, b"abcdefgh");
+        // The bystander keeps being served on its own connection.
+        assert_eq!(bystander.fetch(1, 0, SplitPoint::new(2)).unwrap().byte_len(), 150_528);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversize_length_header_is_a_typed_client_error() {
+        // A fake server that answers the first request frame with a length
+        // header past the cap.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_whole_frame(&mut FrameReader::default(), &mut stream);
+            stream.write_all(&(wire::MAX_PAYLOAD + 1).to_le_bytes()).unwrap();
+            stream
+        });
+        let mut client = TcpStorageClient::connect(addr).unwrap();
+        let err = client.fetch(0, 0, SplitPoint::NONE).unwrap_err();
+        assert_eq!(err, ClientError::Wire(WireError::Invalid("frame length over cap")));
+        drop(fake.join().unwrap());
+    }
+
+    #[test]
+    fn retired_shutdown_tag_is_a_bad_request_not_a_stop() {
+        // Request tag 0x03 once asked the server to stop for every client.
+        // Sent in the retired v2 layout or in the current one, it must now
+        // be answered as a bad request while the server keeps serving.
+        let (server, ds) = spawn_server(2, 2);
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut v2 = vec![0xA2];
+        v2.extend_from_slice(&1u32.to_le_bytes());
+        let mut current = vec![wire::WIRE_VERSION];
+        current.extend_from_slice(&2u32.to_le_bytes());
+        current.extend_from_slice(&TenantId::DEFAULT.0.to_le_bytes());
+        let mut reader = FrameReader::default();
+        for (mut frame, reply_id) in [(v2, 0u32), (current, 2)] {
+            frame.push(0x03);
+            let crc = wire::crc32(&frame);
+            frame.extend_from_slice(&crc.to_le_bytes());
+            write_frame_vectored(&mut raw, &frame).unwrap();
+            read_whole_frame(&mut reader, &mut raw);
+            match wire::decode_response_framed(reader.frame()).unwrap() {
+                (id, Response::Error { message, .. }) => {
+                    assert_eq!(id, reply_id);
+                    assert!(message.starts_with("bad request"), "{message}");
+                }
+                other => panic!("expected a bad-request reply, got {other:?}"),
+            }
+            reader.reset();
         }
-        assert_eq!(buf.as_ptr(), ptr, "read buffer reallocated on the hot path");
-        assert_eq!(buf.capacity(), cap);
+        let mut second = TcpStorageClient::connect(server.local_addr()).unwrap();
+        second.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+        assert_eq!(second.fetch(0, 0, SplitPoint::new(2)).unwrap().byte_len(), 150_528);
+        server.shutdown();
     }
 
     #[test]
@@ -1554,7 +1536,6 @@ mod tests {
             ServerConfig {
                 cores: 2,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
             "127.0.0.1:0",
@@ -1588,7 +1569,6 @@ mod tests {
             ServerConfig {
                 cores: 1,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 8,
                 ..ServerConfig::default()
             },
             "127.0.0.1:0",
@@ -1619,7 +1599,6 @@ mod tests {
             ServerConfig {
                 cores,
                 bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 32,
                 ..ServerConfig::default()
             },
             policy,
@@ -1636,16 +1615,16 @@ mod tests {
             TenantPolicy::default().with_tenant(TenantId(7), TenantSpec::default().with_weight(2));
         let (server, ds) = policy_server(3, 2, policy);
         let mut tagged = TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(7);
-        let mut legacy = TcpStorageClient::connect(server.local_addr()).unwrap();
+        let mut untagged = TcpStorageClient::connect(server.local_addr()).unwrap();
         tagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        legacy.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
+        untagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
         for s in 0..3u64 {
             assert_eq!(tagged.fetch(s, 0, SplitPoint::new(2)).unwrap().byte_len(), 150_528);
         }
-        legacy.fetch(0, 0, SplitPoint::new(2)).unwrap();
+        untagged.fetch(0, 0, SplitPoint::new(2)).unwrap();
         let stats = server.tenant_stats();
-        // Configure + 3 fetches under tenant 7; the v2 client lands on
-        // the default tenant 0.
+        // Configure + 3 fetches under tenant 7; the untagged client lands
+        // on the default tenant 0.
         let t7 = stats[&7];
         assert_eq!(t7.admitted, 4);
         assert_eq!(t7.completed, 4);
@@ -1764,20 +1743,6 @@ mod tests {
         let stats = server.tenant_stats();
         assert!(stats[&1].throttled >= 1, "{stats:?}");
         assert_eq!(stats[&2].throttled, 0, "{stats:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn required_tenant_id_rejects_legacy_frames() {
-        let policy = TenantPolicy { require_tenant_id: true, ..TenantPolicy::default() };
-        let (server, ds) = policy_server(1, 1, policy);
-        let mut legacy = TcpStorageClient::connect(server.local_addr()).unwrap();
-        let err = legacy.configure(ds.seed, PipelineSpec::standard_train()).unwrap_err();
-        assert!(err.to_string().contains("no tenant id"), "{err}");
-        // The same connection succeeds once it identifies itself.
-        let mut tagged = TcpStorageClient::connect(server.local_addr()).unwrap().with_tenant(9);
-        tagged.configure(ds.seed, PipelineSpec::standard_train()).unwrap();
-        tagged.fetch(0, 0, SplitPoint::NONE).unwrap();
         server.shutdown();
     }
 }

@@ -1,13 +1,13 @@
-//! Transport abstraction over the two client implementations.
+//! Transport abstraction over the fetch protocol.
 //!
-//! [`StorageClient`] (in-process throttled pipes) and [`TcpStorageClient`]
-//! (real sockets) expose the same protocol surface; `FetchTransport` lets
-//! higher layers — notably the `sophon` data loader — run over either
-//! without caring which.
+//! [`TcpStorageClient`] is the one wire client; `FetchTransport` lets
+//! higher layers — notably the `sophon` data loader — run over it or over
+//! any decorator stacked on it (retries, caching, fault injection, fleet
+//! routing, tracing) and over in-memory fakes in tests.
 
 use pipeline::PipelineSpec;
 
-use crate::{ClientError, FetchRequest, FetchResponse, StorageClient, TcpStorageClient};
+use crate::{ClientError, FetchRequest, FetchResponse, TcpStorageClient};
 
 /// A connection capable of configuring a session and fetching samples.
 pub trait FetchTransport {
@@ -30,19 +30,6 @@ pub trait FetchTransport {
     ) -> Result<Vec<FetchResponse>, ClientError>;
 }
 
-impl FetchTransport for StorageClient {
-    fn configure(&mut self, dataset_seed: u64, pipeline: PipelineSpec) -> Result<(), ClientError> {
-        StorageClient::configure(self, dataset_seed, pipeline)
-    }
-
-    fn fetch_many_requests(
-        &mut self,
-        requests: &[FetchRequest],
-    ) -> Result<Vec<FetchResponse>, ClientError> {
-        StorageClient::fetch_many_requests(self, requests)
-    }
-}
-
 impl FetchTransport for TcpStorageClient {
     fn configure(&mut self, dataset_seed: u64, pipeline: PipelineSpec) -> Result<(), ClientError> {
         TcpStorageClient::configure(self, dataset_seed, pipeline)
@@ -53,53 +40,5 @@ impl FetchTransport for TcpStorageClient {
         requests: &[FetchRequest],
     ) -> Result<Vec<FetchResponse>, ClientError> {
         TcpStorageClient::fetch_many_requests(self, requests)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::Bandwidth;
-    use pipeline::SplitPoint;
-
-    fn fetch_over<T: FetchTransport>(t: &mut T, seed: u64) -> usize {
-        t.configure(seed, PipelineSpec::standard_train()).unwrap();
-        let reqs: Vec<_> =
-            (0..3u64).map(|id| FetchRequest::new(id, 0, SplitPoint::new(2))).collect();
-        t.fetch_many_requests(&reqs).unwrap().len()
-    }
-
-    #[test]
-    fn both_transports_satisfy_the_trait() {
-        let ds = datasets::DatasetSpec::mini(3, 81);
-        let store = crate::ObjectStore::materialize_dataset(&ds, 0..3);
-
-        let mut server = crate::StorageServer::spawn(
-            store.clone(),
-            crate::ServerConfig {
-                cores: 2,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 16,
-                ..crate::ServerConfig::default()
-            },
-        );
-        let mut pipe_client = server.client();
-        assert_eq!(fetch_over(&mut pipe_client, ds.seed), 3);
-        server.shutdown();
-
-        let tcp_server = crate::TcpStorageServer::bind(
-            store,
-            crate::ServerConfig {
-                cores: 2,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 16,
-                ..crate::ServerConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let mut tcp_client = TcpStorageClient::connect(tcp_server.local_addr()).unwrap();
-        assert_eq!(fetch_over(&mut tcp_client, ds.seed), 3);
-        tcp_server.shutdown();
     }
 }

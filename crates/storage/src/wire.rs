@@ -6,62 +6,48 @@
 //! serde format crate, so this module plays the role gRPC plays in the
 //! paper's prototype.)
 //!
-//! Every encoded message additionally carries a CRC32 trailer (IEEE
-//! polynomial, little-endian) over the message body. Decoding verifies the
-//! checksum before parsing, so bit corruption anywhere in a frame —
-//! including flips the structural parser would happily accept, like a
-//! changed sample id — surfaces as [`WireError::ChecksumMismatch`] instead
-//! of silently poisoning training data. CRC32 detects every burst error up
-//! to 32 bits, so any single flipped byte is always caught.
+//! There is one frame layout per direction. Every frame opens with the
+//! version byte [`WIRE_VERSION`] and a `request_id: u32` — the multiplexing
+//! key that lets one connection carry many pipelined in-flight exchanges —
+//! and closes with a CRC32 trailer (IEEE polynomial, little-endian) over
+//! everything before it. Decoding verifies the checksum before parsing, so
+//! bit corruption anywhere in a frame — including flips the structural
+//! parser would happily accept, like a changed sample id, request id or
+//! tenant id — surfaces as [`WireError::ChecksumMismatch`] instead of
+//! silently re-routing a response, billing the wrong tenant or poisoning
+//! training data. CRC32 detects every burst error up to 32 bits, so any
+//! single flipped byte is always caught.
 //!
-//! Since wire format **version 2** every message additionally opens with a
-//! version byte and a `request_id: u32` — the multiplexing key that lets
-//! one connection carry many pipelined in-flight exchanges. Both fields sit
-//! *under* the CRC, so a flipped bit in the id can never silently re-route
-//! a response to the wrong caller: it fails the checksum like any other
-//! corruption. Version-1 frames (no header) decode to
-//! [`WireError::Version`], never to a wrong-but-valid message.
+//! Optional fields are always present, with `0xFF` (or `0` for the
+//! re-encode quality) standing for "unset", so a frame's length depends only
+//! on its message kind and payload. Any other version byte — a version-1
+//! frame that opened directly with a tag, or a retired `0xA2`–`0xA4`
+//! layout — decodes to [`WireError::Version`], never to a wrong-but-valid
+//! message.
 //!
-//! Wire format **version 3** ([`WIRE_VERSION_TENANT`]) extends the request
-//! header with a `tenant_id: u16` so a multi-tenant server can attribute,
-//! schedule, and meter every request. The field sits under the CRC like the
-//! request id. Version negotiation is per-frame: [`decode_request_tenant`]
-//! accepts v3 frames *and* v2 frames (attributing the latter to tenant 0),
-//! unless the caller requires an explicit tenant id, in which case a v2
-//! frame is the typed rejection [`WireError::TenantMissing`]. Responses
-//! stay v2 — the server already knows whom it is answering.
-//!
-//! Wire format **version 4** ([`WIRE_VERSION_FIDELITY`]) adds the brownout
-//! fidelity axis, on *both* directions. A v4 request carries the v3 tenant
-//! header plus a `max_tier: u8` trailing the fetch body — the fidelity cap
-//! the client will accept (`0xFF` = no cap). A v4 data response appends
-//! the *served* tier byte after the payload, directly under the CRC
-//! trailer, so a flipped fidelity marker can never be mistaken for a
-//! full-quality sample. Negotiation is per-frame, exactly like the v2→v3
-//! tenant bump: encoders emit v4 only when a fidelity field is actually
-//! set, so full-fidelity traffic stays bit-identical to v2/v3, and every
-//! decoder accepts both generations.
-//!
-//! Layout summary (all integers little-endian):
+//! Layout (all integers little-endian):
 //!
 //! ```text
-//! Message   := ver:u8 request_id:u32 body crc32:u32   (crc32 over ver..body)
-//! RequestV3 := ver:u8 request_id:u32 tenant_id:u16 body crc32:u32
-//! RequestV4 := ver:u8 request_id:u32 tenant_id:u16 body crc32:u32
-//!              (Fetch body gains a trailing max_tier:u8, 0xFF = no cap)
-//! RespV4    := ver:u8 request_id:u32 body tier:u8 crc32:u32  (Data only)
-//! Request   := 0x01 SessionConfig | 0x02 FetchRequest | 0x03
-//! Response  := 0x11 | 0x12 FetchResponse | 0x13 Error
-//! OpKind    := tag:u8 [size:u32]           (sized ops carry their parameter)
+//! Request   := 0xA5 request_id:u32 tenant_id:u16 body crc32:u32
+//! Response  := 0xA5 request_id:u32 body crc32:u32
+//! body      := 0x01 seed:u64 n:u8 OpKind{n}                   Configure
+//!            | 0x02 sample:u64 epoch:u64 split:u8
+//!                   quality:u8 max_tier:u8                    Fetch
+//!            | 0x11                                           Configured
+//!            | 0x12 sample:u64 ops:u32 StageData tier:u8      Data
+//!            | 0x13 has_sample:u8 [sample:u64] len:u16 utf8   Error
+//! quality   := 0 (no re-encode) | 1..=100
+//! max_tier  := 0..MAX_TIERS | 0xFF (uncapped)
+//! tier      := 0..MAX_TIERS | 0xFF (full fidelity)
+//! OpKind    := tag:u8 [size:u32 | b:u8 c:u8 s:u8]
 //! StageData := 0x00 len:u32 bytes          (encoded)
 //!            | 0x01 w:u32 h:u32 bytes      (image, len = w*h*3)
 //!            | 0x02 w:u32 h:u32 bytes      (tensor, len = w*h*12)
 //! ```
 //!
-//! The hot-path entry points are the `*_into` encoders, which write into a
-//! caller-provided reusable buffer (clearing it first) so a steady-state
-//! connection re-encodes frames with **zero allocations**; the `Bytes`
-//! returning forms are convenience wrappers.
+//! The encoders write into a caller-provided reusable buffer (clearing it
+//! first), so a steady-state connection re-encodes frames with **zero
+//! allocations**.
 
 use bytes::Bytes;
 use imagery::{RasterImage, Tensor};
@@ -85,9 +71,6 @@ pub enum WireError {
     ChecksumMismatch,
     /// The frame opens with an unsupported wire-format version.
     Version(u8),
-    /// A tenant-less (v2) frame reached an endpoint that requires an
-    /// explicit tenant id.
-    TenantMissing,
 }
 
 impl std::fmt::Display for WireError {
@@ -101,9 +84,6 @@ impl std::fmt::Display for WireError {
             WireError::Version(v) => {
                 write!(f, "unsupported wire version {v} (this build speaks {WIRE_VERSION})")
             }
-            WireError::TenantMissing => {
-                write!(f, "frame carries no tenant id but this endpoint requires one")
-            }
         }
     }
 }
@@ -114,28 +94,12 @@ impl std::error::Error for WireError {}
 /// adversarial length fields.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
-/// Current wire-format version. Version 2 added the
-/// `ver:u8 request_id:u32` multiplexing header in front of every message
-/// body (version 1 opened directly with the tag byte). The low nibble is
-/// the version number; the high nibble is a magic marker chosen so the
-/// byte never collides with a v1 tag (`0x01..=0x03`, `0x11..=0x13`) —
-/// a stray v1 frame always fails the version gate as foreign instead of
-/// accidentally parsing as a v2 header.
-pub const WIRE_VERSION: u8 = 0xA2;
-
-/// Wire-format version 3: the request header grows a `tenant_id: u16`
-/// between the request id and the body, CRC-covered like everything else.
-/// Same high-nibble magic as [`WIRE_VERSION`]; the low nibble is the
-/// version number. Only requests use this version — responses remain v2.
-pub const WIRE_VERSION_TENANT: u8 = 0xA3;
-
-/// Wire-format version 4: the brownout fidelity axis. Requests keep the
-/// v3 tenant header and their fetch body gains a trailing `max_tier: u8`
-/// fidelity cap (`0xFF` = uncapped); data responses append the served
-/// tier byte after the payload, directly under the CRC trailer. Encoders
-/// only emit v4 when a fidelity field is set, so full-fidelity frames
-/// remain bit-identical to the previous generation.
-pub const WIRE_VERSION_FIDELITY: u8 = 0xA4;
+/// The wire-format version byte that opens every frame. The high nibble is
+/// a magic marker chosen so the byte never collides with a version-1 tag
+/// (`0x01..=0x03`, `0x11..=0x13`); the low nibble counts layout revisions,
+/// so frames of the retired `0xA2`–`0xA4` layouts fail the version gate
+/// instead of misparsing.
+pub const WIRE_VERSION: u8 = 0xA5;
 
 /// The wire sentinel for "no fidelity cap / full fidelity".
 const TIER_UNCAPPED: u8 = u8::MAX;
@@ -210,7 +174,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xffff_ffff
 }
 
-/// Writes the `ver request_id` header that opens every message body.
+/// Writes the `ver request_id` header that opens every frame.
 fn begin_frame(request_id: u32, out: &mut Vec<u8>) {
     out.clear();
     out.push(WIRE_VERSION);
@@ -224,13 +188,11 @@ fn seal_in_place(out: &mut Vec<u8>) {
 }
 
 /// Best-effort read of a frame's `request_id` without decoding (or
-/// checksum-verifying) the rest — used by servers to echo an id on error
-/// replies for frames whose body failed to parse. Returns `None` for
-/// frames too short to carry the header or of a foreign version. Both
-/// known versions carry the id at the same offset, so the peek works on
-/// v2 and v3 frames alike.
+/// checksum-verifying) the rest — used by the server to echo an id on
+/// error replies for frames whose body failed to parse. Returns `None` for
+/// frames too short to carry the header or of a foreign version.
 pub fn peek_request_id(data: &[u8]) -> Option<u32> {
-    if data.len() < 5 || (data[0] != WIRE_VERSION && data[0] != WIRE_VERSION_TENANT) {
+    if data.first() != Some(&WIRE_VERSION) {
         return None;
     }
     data.get(1..5).and_then(|s| s.try_into().ok()).map(u32::from_le_bytes)
@@ -247,6 +209,17 @@ fn verify_checksum(data: &[u8]) -> Result<&[u8], WireError> {
         return Err(WireError::ChecksumMismatch);
     }
     Ok(body)
+}
+
+/// Verifies the checksum and the version byte, then reads the request id.
+fn open_frame(data: &[u8]) -> Result<(Reader<'_>, u32), WireError> {
+    let mut r = Reader::new(verify_checksum(data)?);
+    match r.u8()? {
+        WIRE_VERSION => {}
+        v => return Err(WireError::Version(v)),
+    }
+    let request_id = r.u32()?;
+    Ok((r, request_id))
 }
 
 struct Reader<'a> {
@@ -371,7 +344,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<OpKind, WireError> {
 // ---------------------------------------------------------------------------
 
 /// Serializes a [`StageData`] payload.
-pub fn encode_stage_data(data: &StageData, out: &mut Vec<u8>) {
+fn encode_stage_data(data: &StageData, out: &mut Vec<u8>) {
     match data {
         StageData::Encoded(b) => {
             out.push(0x00);
@@ -432,7 +405,12 @@ fn decode_stage_data(r: &mut Reader<'_>) -> Result<StageData, WireError> {
 // Requests
 // ---------------------------------------------------------------------------
 
-fn encode_request_body(req: &Request, fidelity: bool, out: &mut Vec<u8>) {
+/// Serializes a [`Request`] from `tenant_id` under `request_id` into a
+/// caller-provided buffer (cleared first); a reused buffer makes
+/// steady-state encoding allocation-free.
+pub fn encode_request_into(request_id: u32, tenant_id: u16, req: &Request, out: &mut Vec<u8>) {
+    begin_frame(request_id, out);
+    out.extend_from_slice(&tenant_id.to_le_bytes());
     match req {
         Request::Configure(cfg) => {
             out.push(0x01);
@@ -448,22 +426,29 @@ fn encode_request_body(req: &Request, fidelity: bool, out: &mut Vec<u8>) {
             out.extend_from_slice(&f.epoch.to_le_bytes());
             out.push(f.split.offloaded_ops() as u8);
             out.push(f.reencode_quality.unwrap_or(0));
-            if fidelity {
-                out.push(f.max_tier.unwrap_or(TIER_UNCAPPED));
-            }
+            out.push(f.max_tier.unwrap_or(TIER_UNCAPPED));
         }
-        Request::Shutdown => out.push(0x03),
     }
+    seal_in_place(out);
 }
 
-fn decode_request_body(r: &mut Reader<'_>, fidelity: bool) -> Result<Request, WireError> {
-    Ok(match r.u8()? {
+/// Deserializes a request frame into its `(request_id, tenant_id,
+/// request)`.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] for any malformed input, including trailing
+/// bytes, checksum mismatches, and foreign wire versions.
+pub fn decode_request_framed(data: &[u8]) -> Result<(u32, u16, Request), WireError> {
+    let (mut r, request_id) = open_frame(data)?;
+    let tenant_id = r.u16()?;
+    let req = match r.u8()? {
         0x01 => {
             let dataset_seed = r.u64()?;
             let n = r.u8()? as usize;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
-                ops.push(decode_op(r)?);
+                ops.push(decode_op(&mut r)?);
             }
             let pipeline =
                 PipelineSpec::new(ops).map_err(|_| WireError::Invalid("ill-typed pipeline"))?;
@@ -478,169 +463,13 @@ fn decode_request_body(r: &mut Reader<'_>, fidelity: bool) -> Result<Request, Wi
                 q if (1..=100).contains(&q) => Some(q),
                 _ => return Err(WireError::Invalid("reencode quality")),
             };
-            let max_tier = if fidelity { decode_tier_byte(r.u8()?)? } else { None };
+            let max_tier = decode_tier_byte(r.u8()?)?;
             Request::Fetch(FetchRequest { sample_id, epoch, split, reencode_quality, max_tier })
         }
-        0x03 => Request::Shutdown,
         t => return Err(WireError::BadTag(t)),
-    })
-}
-
-/// Whether a request carries a fidelity field that forces the v4 frame
-/// format; anything else stays on the older, bit-stable encodings.
-fn request_wants_fidelity(req: &Request) -> bool {
-    matches!(req, Request::Fetch(f) if f.max_tier.is_some())
-}
-
-/// Serializes a [`Request`] under `request_id` into a caller-provided
-/// buffer (cleared first). The hot-path form: a reused buffer makes
-/// steady-state encoding allocation-free. Requests carrying a fidelity
-/// cap upgrade the frame to v4 (tenant 0); everything else stays on the
-/// bit-stable v2 encoding.
-pub fn encode_request_into(request_id: u32, req: &Request, out: &mut Vec<u8>) {
-    if request_wants_fidelity(req) {
-        encode_request_fidelity_into(request_id, 0, req, out);
-        return;
-    }
-    begin_frame(request_id, out);
-    encode_request_body(req, false, out);
-    seal_in_place(out);
-}
-
-/// Serializes a [`Request`] as a v3 frame carrying `tenant_id` into a
-/// caller-provided buffer (cleared first); the tenant-aware analogue of
-/// [`encode_request_into`], equally allocation-free at steady state.
-/// Requests carrying a fidelity cap upgrade the frame to v4, keeping the
-/// tenant id.
-pub fn encode_request_tenant_into(
-    request_id: u32,
-    tenant_id: u16,
-    req: &Request,
-    out: &mut Vec<u8>,
-) {
-    if request_wants_fidelity(req) {
-        encode_request_fidelity_into(request_id, tenant_id, req, out);
-        return;
-    }
-    out.clear();
-    out.push(WIRE_VERSION_TENANT);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&tenant_id.to_le_bytes());
-    encode_request_body(req, false, out);
-    seal_in_place(out);
-}
-
-/// Serializes a [`Request`] as a v4 frame carrying `tenant_id` and the
-/// fidelity cap into a caller-provided buffer (cleared first);
-/// allocation-free at steady state like its older siblings.
-pub fn encode_request_fidelity_into(
-    request_id: u32,
-    tenant_id: u16,
-    req: &Request,
-    out: &mut Vec<u8>,
-) {
-    out.clear();
-    out.push(WIRE_VERSION_FIDELITY);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&tenant_id.to_le_bytes());
-    encode_request_body(req, true, out);
-    seal_in_place(out);
-}
-
-/// Serializes a [`Request`] as a v3 frame carrying `tenant_id` into
-/// fresh bytes.
-pub fn encode_request_tenant_framed(request_id: u32, tenant_id: u16, req: &Request) -> Bytes {
-    let mut out = Vec::new();
-    encode_request_tenant_into(request_id, tenant_id, req, &mut out);
-    Bytes::from(out)
-}
-
-/// Serializes a [`Request`] under `request_id` into fresh bytes.
-pub fn encode_request_framed(request_id: u32, req: &Request) -> Bytes {
-    let mut out = Vec::new();
-    encode_request_into(request_id, req, &mut out);
-    Bytes::from(out)
-}
-
-/// Serializes a [`Request`] under request id 0 (single-exchange callers).
-pub fn encode_request(req: &Request) -> Bytes {
-    encode_request_framed(0, req)
-}
-
-/// Deserializes a [`Request`] together with its multiplexing id.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] for any malformed input, including trailing
-/// bytes, checksum mismatches, and foreign wire versions.
-pub fn decode_request_framed(data: &[u8]) -> Result<(u32, Request), WireError> {
-    let mut r = Reader::new(verify_checksum(data)?);
-    let version = r.u8()?;
-    let fidelity = match version {
-        WIRE_VERSION => false,
-        WIRE_VERSION_FIDELITY => true,
-        v => return Err(WireError::Version(v)),
     };
-    let request_id = r.u32()?;
-    if fidelity {
-        let _tenant = r.u16()?; // endpoint without tenant metering
-    }
-    let req = decode_request_body(&mut r, fidelity)?;
-    r.finish()?;
-    Ok((request_id, req))
-}
-
-/// Deserializes a [`Request`] together with its multiplexing id and
-/// tenant id, negotiating the version per frame: v3 frames yield their
-/// explicit tenant, v2 frames are attributed to tenant 0 — unless
-/// `require_tenant` is set, in which case a v2 frame is rejected as
-/// [`WireError::TenantMissing`].
-///
-/// # Errors
-///
-/// Returns a [`WireError`] for any malformed input, including trailing
-/// bytes, checksum mismatches, foreign wire versions, and (when
-/// required) missing tenant ids.
-pub fn decode_request_tenant(
-    data: &[u8],
-    require_tenant: bool,
-) -> Result<(u32, u16, Request), WireError> {
-    let mut r = Reader::new(verify_checksum(data)?);
-    let version = r.u8()?;
-    let request_id;
-    let tenant_id;
-    let mut fidelity = false;
-    match version {
-        WIRE_VERSION_TENANT => {
-            request_id = r.u32()?;
-            tenant_id = r.u16()?;
-        }
-        WIRE_VERSION_FIDELITY => {
-            request_id = r.u32()?;
-            tenant_id = r.u16()?;
-            fidelity = true;
-        }
-        WIRE_VERSION => {
-            if require_tenant {
-                return Err(WireError::TenantMissing);
-            }
-            request_id = r.u32()?;
-            tenant_id = 0;
-        }
-        v => return Err(WireError::Version(v)),
-    }
-    let req = decode_request_body(&mut r, fidelity)?;
     r.finish()?;
     Ok((request_id, tenant_id, req))
-}
-
-/// Deserializes a [`Request`], discarding the multiplexing id.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_request_framed`].
-pub fn decode_request(data: &[u8]) -> Result<Request, WireError> {
-    decode_request_framed(data).map(|(_, req)| req)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,20 +477,10 @@ pub fn decode_request(data: &[u8]) -> Result<Request, WireError> {
 // ---------------------------------------------------------------------------
 
 /// Serializes a [`Response`] under `request_id` into a caller-provided
-/// buffer (cleared first). The hot-path form: a reused buffer makes
-/// steady-state encoding allocation-free.
-///
-/// A data response carrying a served fidelity tier is emitted as a v4
-/// frame with the tier byte directly under the CRC trailer; every other
-/// response keeps the bit-stable v2 encoding.
+/// buffer (cleared first); a reused buffer makes steady-state encoding
+/// allocation-free.
 pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>) {
-    let tier = match resp {
-        Response::Data(d) => d.tier,
-        _ => None,
-    };
-    out.clear();
-    out.push(if tier.is_some() { WIRE_VERSION_FIDELITY } else { WIRE_VERSION });
-    out.extend_from_slice(&request_id.to_le_bytes());
+    begin_frame(request_id, out);
     match resp {
         Response::Configured => out.push(0x11),
         Response::Data(d) => {
@@ -669,9 +488,7 @@ pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>)
             out.extend_from_slice(&d.sample_id.to_le_bytes());
             out.extend_from_slice(&d.ops_applied.to_le_bytes());
             encode_stage_data(&d.data, out);
-            if let Some(t) = tier {
-                out.push(t);
-            }
+            out.push(d.tier.unwrap_or(TIER_UNCAPPED));
         }
         Response::Error { sample_id, message } => {
             out.push(0x13);
@@ -690,40 +507,21 @@ pub fn encode_response_into(request_id: u32, resp: &Response, out: &mut Vec<u8>)
     seal_in_place(out);
 }
 
-/// Serializes a [`Response`] under `request_id` into fresh bytes.
-pub fn encode_response_framed(request_id: u32, resp: &Response) -> Bytes {
-    let mut out = Vec::new();
-    encode_response_into(request_id, resp, &mut out);
-    Bytes::from(out)
-}
-
-/// Serializes a [`Response`] under request id 0 (single-exchange callers).
-pub fn encode_response(resp: &Response) -> Bytes {
-    encode_response_framed(0, resp)
-}
-
-/// Deserializes a [`Response`] together with its multiplexing id.
+/// Deserializes a response frame into its `(request_id, response)`.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] for any malformed input, including trailing
 /// bytes, checksum mismatches, and foreign wire versions.
 pub fn decode_response_framed(data: &[u8]) -> Result<(u32, Response), WireError> {
-    let mut r = Reader::new(verify_checksum(data)?);
-    let version = r.u8()?;
-    let fidelity = match version {
-        WIRE_VERSION => false,
-        WIRE_VERSION_FIDELITY => true,
-        v => return Err(WireError::Version(v)),
-    };
-    let request_id = r.u32()?;
+    let (mut r, request_id) = open_frame(data)?;
     let resp = match r.u8()? {
         0x11 => Response::Configured,
         0x12 => {
             let sample_id = r.u64()?;
             let ops_applied = r.u32()?;
             let data = decode_stage_data(&mut r)?;
-            let tier = if fidelity { decode_tier_byte(r.u8()?)? } else { None };
+            let tier = decode_tier_byte(r.u8()?)?;
             Response::Data(FetchResponse { sample_id, ops_applied, data, tier })
         }
         0x13 => {
@@ -732,10 +530,7 @@ pub fn decode_response_framed(data: &[u8]) -> Result<(u32, Response), WireError>
                 1 => Some(r.u64()?),
                 _ => return Err(WireError::Invalid("error sample flag")),
             };
-            let len = {
-                let s = r.take(2)?;
-                u16::from_le_bytes(s.try_into().map_err(|_| WireError::Truncated)?) as usize
-            };
+            let len = r.u16()? as usize;
             let message = String::from_utf8_lossy(r.take(len)?).into_owned();
             Response::Error { sample_id, message }
         }
@@ -745,19 +540,42 @@ pub fn decode_response_framed(data: &[u8]) -> Result<(u32, Response), WireError>
     Ok((request_id, resp))
 }
 
-/// Deserializes a [`Response`], discarding the multiplexing id.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_response_framed`].
-pub fn decode_response(data: &[u8]) -> Result<Response, WireError> {
-    decode_response_framed(data).map(|(_, resp)| resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use imagery::Rgb;
+
+    fn encode_request(request_id: u32, tenant_id: u16, req: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_request_into(request_id, tenant_id, req, &mut out);
+        out
+    }
+
+    fn encode_response(request_id: u32, resp: &Response) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_response_into(request_id, resp, &mut out);
+        out
+    }
+
+    fn data(payload: &'static [u8], tier: Option<u8>) -> Response {
+        Response::Data(FetchResponse {
+            sample_id: 9,
+            ops_applied: 2,
+            data: StageData::Encoded(Bytes::from_static(payload)),
+            tier,
+        })
+    }
+
+    /// Prefixes a hand-crafted tag+payload body with a response header and
+    /// re-seals it with a valid CRC trailer, so a test exercises the
+    /// structural parser rather than the version or checksum gates.
+    fn sealed(body: Vec<u8>) -> Vec<u8> {
+        let mut out = vec![WIRE_VERSION];
+        out.extend_from_slice(&7u32.to_le_bytes());
+        out.extend_from_slice(&body);
+        seal_in_place(&mut out);
+        out
+    }
 
     #[test]
     fn request_roundtrips() {
@@ -773,180 +591,63 @@ mod tests {
             Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))),
             Request::Fetch(FetchRequest::new(u64::MAX, 0, SplitPoint::NONE)),
             Request::Fetch(FetchRequest::new(9, 1, SplitPoint::new(2)).with_reencode(70)),
-            Request::Shutdown,
+            Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(0)),
         ];
-        for req in &reqs {
-            let bytes = encode_request(req);
-            assert_eq!(&decode_request(&bytes).unwrap(), req, "roundtrip {req:?}");
+        for (id, t) in [(0u32, 0u16), (7, 1), (0xdead_beef, 41), (u32::MAX, u16::MAX)] {
+            for req in &reqs {
+                let bytes = encode_request(id, t, req);
+                assert_eq!(decode_request_framed(&bytes).unwrap(), (id, t, req.clone()));
+                assert_eq!(peek_request_id(&bytes), Some(id));
+            }
         }
-    }
-
-    /// Prefixes a hand-crafted tag+payload body with the v2 header and
-    /// re-seals it with a valid CRC trailer, so a test exercises the
-    /// structural parser rather than the version or checksum gates.
-    fn sealed(body: Vec<u8>) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
-        out.extend_from_slice(&7u32.to_le_bytes());
-        out.extend_from_slice(&body);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     #[test]
     fn fetch_request_is_compact() {
-        let bytes = encode_request(&Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2))));
-        assert!(bytes.len() <= 28, "fetch request is {} bytes", bytes.len());
+        let req = Request::Fetch(FetchRequest::new(1, 1, SplitPoint::new(2)));
+        // 7-byte header + tag + 19-byte fetch body + 4-byte CRC.
+        assert_eq!(encode_request(1, 0, &req).len(), 31);
     }
 
     #[test]
-    fn request_ids_roundtrip_on_both_message_kinds() {
-        for id in [0u32, 1, 0xdead_beef, u32::MAX] {
-            let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = encode_request_framed(id, &req);
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (id, req));
-            assert_eq!(peek_request_id(&bytes), Some(id));
-
-            let resp = Response::Configured;
-            let bytes = encode_response_framed(id, &resp);
-            assert_eq!(decode_response_framed(&bytes).unwrap(), (id, resp));
-            assert_eq!(peek_request_id(&bytes), Some(id));
-        }
-    }
-
-    #[test]
-    fn tenant_frames_roundtrip_with_id_and_tenant() {
-        for (id, t) in [(0u32, 0u16), (7, 1), (0xdead_beef, 41), (u32::MAX, u16::MAX)] {
-            let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-            let bytes = encode_request_tenant_framed(id, t, &req);
-            assert_eq!(decode_request_tenant(&bytes, true).unwrap(), (id, t, req.clone()));
-            assert_eq!(decode_request_tenant(&bytes, false).unwrap(), (id, t, req));
-            assert_eq!(peek_request_id(&bytes), Some(id));
-        }
-    }
-
-    #[test]
-    fn v2_frames_negotiate_to_the_default_tenant() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE));
-        let bytes = encode_request_framed(9, &req);
-        assert_eq!(decode_request_tenant(&bytes, false).unwrap(), (9, 0, req));
-    }
-
-    #[test]
-    fn v2_frames_are_rejected_when_a_tenant_is_required() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE));
-        let bytes = encode_request_framed(9, &req);
-        assert_eq!(decode_request_tenant(&bytes, true), Err(WireError::TenantMissing));
-    }
-
-    #[test]
-    fn v3_frames_are_foreign_to_the_legacy_request_decoder() {
-        // An old (v2-only) server sees a v3 frame as an unsupported
-        // version, never as a misparsed v2 message.
-        let req = Request::Shutdown;
-        let bytes = encode_request_tenant_framed(1, 5, &req);
-        assert_eq!(decode_request_framed(&bytes), Err(WireError::Version(WIRE_VERSION_TENANT)));
-    }
-
-    #[test]
-    fn tenant_id_is_protected_by_the_checksum() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        let mut bytes = encode_request_tenant_framed(11, 6, &req).to_vec();
-        bytes[5] ^= 0x01; // inside the little-endian tenant id
-        assert_eq!(decode_request_tenant(&bytes, false), Err(WireError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn tenant_encode_into_reuses_the_buffer_without_reallocating() {
-        let req = Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2)));
-        let mut buf = Vec::new();
-        encode_request_tenant_into(5, 1, &req, &mut buf);
-        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
-        for id in 0..1000u32 {
-            encode_request_tenant_into(id, (id % 7) as u16, &req, &mut buf);
-            let (got_id, got_tenant, _) = decode_request_tenant(&buf, true).unwrap();
-            assert_eq!((got_id, got_tenant), (id, (id % 7) as u16));
-        }
-        assert_eq!(buf.as_ptr(), ptr, "buffer reallocated on the hot path");
-        assert_eq!(buf.capacity(), cap);
-    }
-
-    #[test]
-    fn fidelity_requests_roundtrip_on_every_decoder() {
+    fn every_fidelity_tier_roundtrips_both_ways() {
         for tier in 0..codec::MAX_TIERS as u8 {
             let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(tier));
-            let bytes = encode_request_framed(5, &req);
-            assert_eq!(bytes[0], WIRE_VERSION_FIDELITY, "cap forces a v4 frame");
-            assert_eq!(decode_request_framed(&bytes).unwrap(), (5, req.clone()));
-            // The tenant-aware decoder sees tenant 0 and the same request,
-            // even when it requires an explicit tenant (v4 carries one).
-            assert_eq!(decode_request_tenant(&bytes, true).unwrap(), (5, 0, req));
+            assert_eq!(decode_request_framed(&encode_request(5, 2, &req)).unwrap(), (5, 2, req));
+            let resp = data(b"tiered prefix", Some(tier));
+            assert_eq!(decode_response_framed(&encode_response(4, &resp)).unwrap(), (4, resp));
         }
     }
 
     #[test]
-    fn fidelity_requests_keep_their_tenant() {
-        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::NONE).with_max_tier(2));
-        let bytes = encode_request_tenant_framed(9, 41, &req);
-        assert_eq!(bytes[0], WIRE_VERSION_FIDELITY);
-        assert_eq!(decode_request_tenant(&bytes, true).unwrap(), (9, 41, req));
-    }
-
-    #[test]
-    fn uncapped_requests_stay_bit_identical_to_v2_and_v3() {
-        // The digest-pinning guarantee: a request without a fidelity cap
-        // must encode exactly as it did before the v4 bump.
+    fn header_and_tier_fields_are_protected_by_the_checksum() {
+        // A flipped bit in the request id, the tenant id or the served tier
+        // must never re-route, re-bill or silently downgrade: each fails
+        // the CRC instead.
         let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
-        assert_eq!(encode_request_framed(5, &req)[0], WIRE_VERSION);
-        assert_eq!(encode_request_tenant_framed(5, 7, &req)[0], WIRE_VERSION_TENANT);
-    }
-
-    #[test]
-    fn served_tier_roundtrips_under_the_crc_trailer() {
-        let resp = Response::Data(FetchResponse {
-            sample_id: 9,
-            ops_applied: 0,
-            data: StageData::Encoded(Bytes::from_static(b"tiered prefix")),
-            tier: Some(1),
-        });
-        let bytes = encode_response_framed(4, &resp);
-        assert_eq!(bytes[0], WIRE_VERSION_FIDELITY, "served tier forces a v4 frame");
-        assert_eq!(decode_response_framed(&bytes).unwrap(), (4, resp));
-        // The tier byte sits directly under the CRC trailer: flipping it
-        // must fail the checksum, never downgrade silently.
-        let mut corrupt = bytes.to_vec();
-        let at = corrupt.len() - 5;
-        corrupt[at] ^= 0x01;
-        assert_eq!(decode_response_framed(&corrupt), Err(WireError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn full_fidelity_responses_stay_bit_identical_to_v2() {
-        let resp = Response::Data(FetchResponse {
-            sample_id: 9,
-            ops_applied: 2,
-            data: StageData::Encoded(Bytes::from_static(b"payload")),
-            tier: None,
-        });
-        assert_eq!(encode_response_framed(4, &resp)[0], WIRE_VERSION);
+        for at in [3usize, 5] {
+            let mut bytes = encode_request(11, 6, &req);
+            bytes[at] ^= 0x01;
+            assert_eq!(decode_request_framed(&bytes), Err(WireError::ChecksumMismatch));
+        }
+        let mut bytes = encode_response(41, &data(b"payload", Some(1)));
+        bytes[3] ^= 0x04;
+        assert_eq!(decode_response_framed(&bytes), Err(WireError::ChecksumMismatch));
+        let mut bytes = encode_response(41, &data(b"payload", Some(1)));
+        let tier_at = bytes.len() - 5;
+        bytes[tier_at] ^= 0x01;
+        assert_eq!(decode_response_framed(&bytes), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
     fn out_of_range_wire_tiers_are_rejected() {
-        // Hand-craft a v4 data response whose tier byte is 8 (valid tiers
-        // are 0..8, 0xFF is the sentinel).
-        let resp = Response::Data(FetchResponse {
-            sample_id: 1,
-            ops_applied: 0,
-            data: StageData::Encoded(Bytes::from_static(b"x")),
-            tier: Some(0),
-        });
-        let mut bytes = encode_response_framed(0, &resp).to_vec();
-        let at = bytes.len() - 5;
-        bytes[at] = codec::MAX_TIERS as u8;
+        // Hand-craft a data response whose tier byte is MAX_TIERS (valid
+        // tiers are 0..MAX_TIERS, 0xFF is the sentinel).
+        let mut bytes = encode_response(0, &data(b"x", Some(0)));
         let crc_at = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_at]);
-        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        bytes[crc_at - 1] = codec::MAX_TIERS as u8;
+        bytes.truncate(crc_at);
+        seal_in_place(&mut bytes);
         assert_eq!(
             decode_response_framed(&bytes),
             Err(WireError::Invalid("fidelity tier out of range"))
@@ -954,32 +655,33 @@ mod tests {
     }
 
     #[test]
-    fn request_id_is_protected_by_the_checksum() {
-        // A flipped bit inside the multiplexing id must never re-route a
-        // response to the wrong caller: it fails the CRC instead.
-        let resp = Response::Data(FetchResponse {
-            sample_id: 9,
-            ops_applied: 2,
-            data: StageData::Encoded(Bytes::from_static(b"payload")),
-            tier: None,
-        });
-        let mut bytes = encode_response_framed(41, &resp).to_vec();
-        bytes[3] ^= 0x04; // inside the little-endian request id
-        assert_eq!(decode_response_framed(&bytes), Err(WireError::ChecksumMismatch));
-    }
-
-    #[test]
     fn version_1_frames_are_rejected_as_foreign_not_misparsed() {
         // A v1 frame opened directly with the tag byte; its first byte now
         // reads as a version. Every v1 tag is a typed rejection, never a
-        // wrong-but-valid message (the compatibility gate for the bump).
+        // wrong-but-valid message.
         for tag in [0x01u8, 0x02, 0x03, 0x11, 0x12, 0x13] {
             let mut body = vec![tag];
             body.extend_from_slice(&1u64.to_le_bytes());
-            let crc = crc32(&body);
-            body.extend_from_slice(&crc.to_le_bytes());
-            assert_eq!(decode_request(&body), Err(WireError::Version(tag)), "tag 0x{tag:02x}");
-            assert_eq!(decode_response(&body), Err(WireError::Version(tag)), "tag 0x{tag:02x}");
+            seal_in_place(&mut body);
+            let foreign = Err(WireError::Version(tag));
+            assert_eq!(decode_request_framed(&body).map(|_| ()), foreign, "tag 0x{tag:02x}");
+            assert_eq!(decode_response_framed(&body).map(|_| ()), foreign, "tag 0x{tag:02x}");
+        }
+        // Frames of the retired layouts are equally foreign, whatever
+        // follows the version byte.
+        let req = Request::Fetch(FetchRequest::new(3, 1, SplitPoint::new(2)));
+        let resp = data(b"payload", None);
+        for old in [0xA2u8, 0xA3, 0xA4] {
+            for mut frame in [encode_request(9, 1, &req), encode_response(9, &resp)] {
+                frame[0] = old;
+                let crc_at = frame.len() - 4;
+                frame.truncate(crc_at);
+                seal_in_place(&mut frame);
+                assert_eq!(peek_request_id(&frame), None);
+                let foreign = Err(WireError::Version(old));
+                assert_eq!(decode_request_framed(&frame).map(|_| ()), foreign);
+                assert_eq!(decode_response_framed(&frame).map(|_| ()), foreign);
+            }
         }
     }
 
@@ -990,11 +692,12 @@ mod tests {
         // buffer's pointer and capacity stay put.
         let req = Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2)));
         let mut buf = Vec::new();
-        encode_request_into(5, &req, &mut buf);
+        encode_request_into(5, 1, &req, &mut buf);
         let (ptr, cap) = (buf.as_ptr(), buf.capacity());
         for id in 0..1000u32 {
-            encode_request_into(id, &req, &mut buf);
-            assert_eq!(decode_request_framed(&buf).unwrap().0, id);
+            encode_request_into(id, (id % 7) as u16, &req, &mut buf);
+            let (got_id, got_tenant, _) = decode_request_framed(&buf).unwrap();
+            assert_eq!((got_id, got_tenant), (id, (id % 7) as u16));
         }
         assert_eq!(buf.as_ptr(), ptr, "buffer reallocated on the hot path");
         assert_eq!(buf.capacity(), cap);
@@ -1028,17 +731,17 @@ mod tests {
         // Flip a bit inside the sample id: structurally still a perfectly
         // valid fetch request, but the checksum catches it.
         let mut bytes =
-            encode_request(&Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2)))).to_vec();
-        bytes[1] ^= 0x01;
-        assert_eq!(decode_request(&bytes), Err(WireError::ChecksumMismatch));
+            encode_request(0, 0, &Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))));
+        bytes[8] ^= 0x01;
+        assert_eq!(decode_request_framed(&bytes), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
     fn corrupted_trailer_detected() {
-        let mut bytes = encode_response(&Response::Configured).to_vec();
+        let mut bytes = encode_response(0, &Response::Configured);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x80;
-        assert_eq!(decode_response(&bytes), Err(WireError::ChecksumMismatch));
+        assert_eq!(decode_response_framed(&bytes), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
@@ -1057,10 +760,10 @@ mod tests {
                 data: p.clone(),
                 tier: None,
             });
-            let bytes = encode_response(&resp);
             // Responses are `PartialEq`, so the roundtrip asserts every
             // field (payload bytes included) in one exhaustive comparison.
-            assert_eq!(decode_response(&bytes).unwrap(), resp, "roundtrip {:?}", p.kind());
+            let got = decode_response_framed(&encode_response(3, &resp)).unwrap();
+            assert_eq!(got, (3, resp), "roundtrip {:?}", p.kind());
         }
     }
 
@@ -1068,8 +771,8 @@ mod tests {
     fn error_response_roundtrips() {
         for sample_id in [None, Some(5u64)] {
             let resp = Response::Error { sample_id, message: "object not found".into() };
-            let bytes = encode_response(&resp);
-            assert_eq!(decode_response(&bytes).unwrap(), resp, "roundtrip {sample_id:?}");
+            let got = decode_response_framed(&encode_response(0, &resp)).unwrap();
+            assert_eq!(got, (0, resp), "roundtrip {sample_id:?}");
         }
     }
 
@@ -1081,10 +784,10 @@ mod tests {
             data: StageData::Image(RasterImage::filled(8, 8, Rgb::gray(7))),
             tier: None,
         });
-        let bytes = encode_response(&resp);
+        let bytes = encode_response(0, &resp);
         for len in 0..bytes.len() {
             assert!(
-                decode_response(&bytes[..len]).is_err(),
+                decode_response_framed(&bytes[..len]).is_err(),
                 "prefix of {len} bytes decoded successfully"
             );
         }
@@ -1094,9 +797,26 @@ mod tests {
     fn trailing_bytes_rejected() {
         // A body with junk after a complete message, under a valid CRC
         // (appending to a sealed frame would fail the checksum instead).
-        let mut body = vec![0x03]; // Shutdown
-        body.push(0);
-        assert_eq!(decode_request(&sealed(body)), Err(WireError::TrailingBytes(1)));
+        assert_eq!(
+            decode_response_framed(&sealed(vec![0x11, 0])),
+            Err(WireError::TrailingBytes(1))
+        );
+        // The same for requests: a valid fetch or configure frame with one
+        // junk byte slipped in before the re-sealed trailer.
+        let reqs = [
+            Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2))),
+            Request::Configure(SessionConfig {
+                dataset_seed: 42,
+                pipeline: PipelineSpec::standard_train(),
+            }),
+        ];
+        for req in &reqs {
+            let mut bytes = encode_request(5, 2, req);
+            bytes.truncate(bytes.len() - 4);
+            bytes.push(0);
+            seal_in_place(&mut bytes);
+            assert_eq!(decode_request_framed(&bytes), Err(WireError::TrailingBytes(1)), "{req:?}");
+        }
     }
 
     #[test]
@@ -1108,7 +828,7 @@ mod tests {
         body.push(0x00);
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_response(&sealed(body)),
+            decode_response_framed(&sealed(body)),
             Err(WireError::Invalid("payload length over cap"))
         ));
     }
@@ -1116,11 +836,15 @@ mod tests {
     #[test]
     fn ill_typed_pipeline_rejected() {
         // Configure with [ToTensor] (cannot consume encoded input).
-        let mut body = vec![0x01];
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.push(1); // one op
-        body.push(3); // ToTensor
-        assert_eq!(decode_request(&sealed(body)), Err(WireError::Invalid("ill-typed pipeline")));
+        let mut frame = vec![WIRE_VERSION];
+        frame.extend_from_slice(&7u32.to_le_bytes());
+        frame.extend_from_slice(&0u16.to_le_bytes());
+        frame.push(0x01);
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.push(1); // one op
+        frame.push(3); // ToTensor
+        seal_in_place(&mut frame);
+        assert_eq!(decode_request_framed(&frame), Err(WireError::Invalid("ill-typed pipeline")));
     }
 
     #[test]
@@ -1133,8 +857,8 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 buf.push((state >> 33) as u8);
             }
-            let _ = decode_request(&buf);
-            let _ = decode_response(&buf);
+            let _ = decode_request_framed(&buf);
+            let _ = decode_response_framed(&buf);
         }
     }
 }

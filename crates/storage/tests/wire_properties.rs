@@ -1,11 +1,41 @@
-//! Property tests for the wire format: arbitrary protocol values roundtrip,
-//! arbitrary bytes never panic the decoder.
+//! Property tests for the wire format: arbitrary protocol values roundtrip
+//! with their request and tenant ids, arbitrary bytes never panic the
+//! decoder, and no single-byte corruption of a frame decodes.
 
 use imagery::{RasterImage, Rgb, Tensor};
 use pipeline::{OpKind, PipelineSpec, SplitPoint, StageData};
 use proptest::prelude::*;
-use storage::wire::{decode_request, decode_response, encode_request, encode_response};
+use storage::wire::{
+    decode_request_framed, decode_response_framed, encode_request_into, encode_response_into,
+};
 use storage::{FetchRequest, FetchResponse, Request, Response, SessionConfig};
+
+/// A request frame under a fixed id and tenant.
+fn encode_request(req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_request_into(0xA11CE, 7, req, &mut out);
+    out
+}
+
+fn decode_request(bytes: &[u8]) -> Result<Request, storage::wire::WireError> {
+    decode_request_framed(bytes).map(|(_, _, req)| req)
+}
+
+/// A response frame under a fixed id.
+fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_response_into(0xB0B, resp, &mut out);
+    out
+}
+
+fn decode_response(bytes: &[u8]) -> Result<Response, storage::wire::WireError> {
+    decode_response_framed(bytes).map(|(_, resp)| resp)
+}
+
+/// A fidelity tier field: unset, or any valid tier.
+fn arb_tier() -> impl Strategy<Value = Option<u8>> {
+    proptest::option::of(0u8..codec::MAX_TIERS as u8)
+}
 
 fn arb_pipeline() -> impl Strategy<Value = PipelineSpec> {
     prop_oneof![
@@ -39,9 +69,11 @@ fn arb_stage_data() -> impl Strategy<Value = StageData> {
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Configured),
-        (any::<u64>(), 0u32..8, arb_stage_data()).prop_map(|(sample_id, ops_applied, data)| {
-            Response::Data(FetchResponse { sample_id, ops_applied, data, tier: None })
-        }),
+        (any::<u64>(), 0u32..8, arb_stage_data(), arb_tier()).prop_map(
+            |(sample_id, ops_applied, data, tier)| {
+                Response::Data(FetchResponse { sample_id, ops_applied, data, tier })
+            }
+        ),
         (proptest::option::of(any::<u64>()), ".{0,200}")
             .prop_map(|(sample_id, message)| Response::Error { sample_id, message }),
     ]
@@ -52,27 +84,29 @@ fn arb_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), arb_pipeline()).prop_map(|(dataset_seed, pipeline)| {
             Request::Configure(SessionConfig { dataset_seed, pipeline })
         }),
-        (any::<u64>(), any::<u64>(), 0usize..=6, proptest::option::of(1u8..=100)).prop_map(
-            |(sample_id, epoch, split, reencode)| {
-                let mut req = FetchRequest::new(sample_id, epoch, SplitPoint::new(split));
-                if let Some(q) = reencode {
-                    req = req.with_reencode(q);
-                }
-                Request::Fetch(req)
-            }
-        ),
-        Just(Request::Shutdown),
+        (any::<u64>(), any::<u64>(), 0usize..=6, proptest::option::of(1u8..=100), arb_tier())
+            .prop_map(|(sample_id, epoch, split, reencode_quality, max_tier)| {
+                Request::Fetch(FetchRequest {
+                    sample_id,
+                    epoch,
+                    split: SplitPoint::new(split),
+                    reencode_quality,
+                    max_tier,
+                })
+            }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every representable request roundtrips bit-exactly.
+    /// Every representable request roundtrips bit-exactly, under any
+    /// request id and tenant id.
     #[test]
-    fn requests_roundtrip(req in arb_request()) {
-        let bytes = encode_request(&req);
-        prop_assert_eq!(decode_request(&bytes).unwrap(), req);
+    fn requests_roundtrip(req in arb_request(), request_id in any::<u32>(), tenant in any::<u16>()) {
+        let mut bytes = Vec::new();
+        encode_request_into(request_id, tenant, &req, &mut bytes);
+        prop_assert_eq!(decode_request_framed(&bytes).unwrap(), (request_id, tenant, req));
     }
 
     /// Decoders are total over arbitrary bytes.
@@ -121,7 +155,7 @@ proptest! {
         pos in any::<u16>(),
         mask in 1u8..=255,
     ) {
-        let mut bytes = encode_request(&req).to_vec();
+        let mut bytes = encode_request(&req);
         let idx = pos as usize % bytes.len();
         bytes[idx] ^= mask;
         prop_assert!(decode_request(&bytes).is_err(), "byte {} ^ {:#04x} slipped past", idx, mask);
@@ -135,7 +169,7 @@ proptest! {
         pos in any::<u16>(),
         mask in 1u8..=255,
     ) {
-        let mut bytes = encode_response(&resp).to_vec();
+        let mut bytes = encode_response(&resp);
         let idx = pos as usize % bytes.len();
         bytes[idx] ^= mask;
         prop_assert!(decode_response(&bytes).is_err(), "byte {} ^ {:#04x} slipped past", idx, mask);
@@ -147,12 +181,13 @@ proptest! {
         sample_id in any::<u64>(),
         ops in 0u32..6,
         payload in proptest::collection::vec(any::<u8>(), 0..2000),
+        tier in arb_tier(),
     ) {
         let resp = Response::Data(FetchResponse {
             sample_id,
             ops_applied: ops,
             data: pipeline::StageData::Encoded(payload.into()),
-            tier: None,
+            tier,
         });
         let bytes = encode_response(&resp);
         prop_assert_eq!(decode_response(&bytes).unwrap(), resp);
@@ -160,25 +195,30 @@ proptest! {
 }
 
 /// Exhaustive companion to the sampled flip properties: every byte position
-/// of a representative data frame, including the CRC trailer itself, rejects
-/// a single-bit flip.
+/// of a representative data frame and fetch frame — header, tenant id,
+/// tier fields and the CRC trailer itself — rejects a single-bit flip.
 #[test]
-fn every_byte_of_a_data_frame_is_flip_protected() {
+fn every_byte_of_a_frame_is_flip_protected() {
     let resp = Response::Data(FetchResponse {
         sample_id: 7,
         ops_applied: 3,
         data: StageData::Encoded((0u8..=255).collect::<Vec<u8>>().into()),
-        tier: None,
+        tier: Some(1),
     });
-    let bytes = encode_response(&resp).to_vec();
-    for idx in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut corrupt = bytes.clone();
-            corrupt[idx] ^= 1 << bit;
-            assert!(
-                decode_response(&corrupt).is_err(),
-                "flip of byte {idx} bit {bit} decoded successfully"
-            );
+    let req = Request::Fetch(FetchRequest::new(7, 3, SplitPoint::new(2)).with_max_tier(2));
+    let frames = [(encode_response(&resp), true), (encode_request(&req), false)];
+    for (bytes, is_response) in frames {
+        for idx in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[idx] ^= 1 << bit;
+                let decoded = if is_response {
+                    decode_response(&corrupt).is_ok()
+                } else {
+                    decode_request(&corrupt).is_ok()
+                };
+                assert!(!decoded, "flip of byte {idx} bit {bit} decoded successfully");
+            }
         }
     }
 }

@@ -29,7 +29,7 @@ use sophon::engine::PlanningContext;
 use sophon::ext::caching::{self, CacheSelection};
 use sophon::loader::{LoaderConfig, OffloadingLoader};
 use sophon::OffloadPlan;
-use storage::{ObjectStore, ServerConfig, StorageServer};
+use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const SAMPLES: u64 = 48;
 const BATCH: usize = 8;
@@ -53,18 +53,14 @@ fn run_with_cache(
 ) -> Result<CacheRun, Box<dyn std::error::Error>> {
     let pipeline = PipelineSpec::standard_train();
     let store = ObjectStore::materialize_dataset(ds, 0..SAMPLES);
-    let server = StorageServer::spawn(
+    let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 4,
-            bandwidth: Bandwidth::from_mbps(40.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
-    );
-    let mut server = server;
+        ServerConfig { cores: 4, bandwidth: Bandwidth::from_mbps(40.0), ..ServerConfig::default() },
+        "127.0.0.1:0",
+    )?;
 
-    let mut transport = CachingTransport::new(server.client(), cache);
+    let mut transport =
+        CachingTransport::new(TcpStorageClient::connect(server.local_addr())?, cache);
     if hints {
         transport.set_hints(profiles.iter().enumerate().map(|(i, p)| {
             let shipped = p.size_at(plan.split(i).offloaded_ops());
@@ -78,26 +74,31 @@ fn run_with_cache(
         LoaderConfig::new(ds.seed, BATCH),
     )?;
 
+    // The server counts a frame once its write returns, which can be just
+    // after the client holds it: the mid-run cold reading may miss the
+    // last in-flight frame (it then lands in the warm share). The total,
+    // read after `shutdown`, is exact.
+    let meter = server.meter();
+
     // Cold epoch: everything crosses the wire, the cache fills.
     loader.run_epoch(0, |_| {})?;
-    let cold_wire = server.response_bytes();
+    let cold_wire = meter.bytes();
 
     // Warm epochs: only the uncached residual is fetched.
     for epoch in 1..=WARM_EPOCHS {
         loader.run_epoch(epoch, |_| {})?;
     }
-    let warm_wire = (server.response_bytes() - cold_wire) / WARM_EPOCHS;
+    server.shutdown();
+    let warm_wire = (meter.bytes() - cold_wire) / WARM_EPOCHS;
 
     let stats = loader.transport().cache_stats();
-    let run = CacheRun {
+    Ok(CacheRun {
         label,
         cold_wire,
         warm_wire,
         hit_rate: stats.hit_rate(),
         cached_entries: loader.transport().cache().len(),
-    };
-    server.shutdown();
-    Ok(run)
+    })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

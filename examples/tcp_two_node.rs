@@ -28,12 +28,7 @@ fn run_epoch(
     let store = ObjectStore::materialize_dataset(ds, 0..SAMPLES);
     let server = TcpStorageServer::bind(
         store,
-        ServerConfig {
-            cores: 4,
-            bandwidth: Bandwidth::from_mbps(40.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
+        ServerConfig { cores: 4, bandwidth: Bandwidth::from_mbps(40.0), ..ServerConfig::default() },
         "127.0.0.1:0",
     )?;
     let mut client = TcpStorageClient::connect(server.local_addr())?;

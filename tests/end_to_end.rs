@@ -1,7 +1,7 @@
 //! Whole-system integration tests spanning every crate: dataset →
 //! profiling → SOPHON plan → (a) live execution through the real storage
-//! server and throttled link, and (b) virtual-time simulation — checking
-//! the two agree where they must.
+//! server and throttled link on loopback TCP, and (b) virtual-time
+//! simulation — checking the two agree where they must.
 
 use cluster::{ClusterConfig, GpuModel};
 use datasets::DatasetSpec;
@@ -9,7 +9,7 @@ use netsim::Bandwidth;
 use pipeline::{CostModel, PipelineSpec, SampleKey, SplitPoint, StageData};
 use sophon::engine::PlanningContext;
 use sophon::prelude::*;
-use storage::{ObjectStore, ServerConfig, StorageServer};
+use storage::{ObjectStore, ServerConfig, TcpStorageClient, TcpStorageServer};
 
 const N: u64 = 12;
 
@@ -17,6 +17,16 @@ fn live_setup() -> (DatasetSpec, ObjectStore, PipelineSpec) {
     let ds = DatasetSpec::mini(N, 99);
     let store = ObjectStore::materialize_dataset(&ds, 0..N);
     (ds, store, PipelineSpec::standard_train())
+}
+
+/// Binds a loopback server with `cores` workers behind a 10 Gbps link and
+/// connects one client.
+fn serve(store: ObjectStore, cores: usize) -> (TcpStorageServer, TcpStorageClient) {
+    let config =
+        ServerConfig { cores, bandwidth: Bandwidth::from_gbps(10.0), ..ServerConfig::default() };
+    let server = TcpStorageServer::bind(store, config, "127.0.0.1:0").unwrap();
+    let client = TcpStorageClient::connect(server.local_addr()).unwrap();
+    (server, client)
 }
 
 #[test]
@@ -32,16 +42,7 @@ fn sophon_offloaded_tensors_equal_local_tensors() {
     let plan = SophonPolicy::without_stage1_gate().plan(&ctx).unwrap();
     assert!(plan.offloaded_samples() > 0, "mini corpus should offer offload candidates");
 
-    let mut server = StorageServer::spawn(
-        store.clone(),
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+    let (server, mut client) = serve(store.clone(), 2);
     client.configure(ds.seed, pipeline.clone()).unwrap();
 
     let epoch = 1u64;
@@ -62,9 +63,24 @@ fn sophon_offloaded_tensors_equal_local_tensors() {
 
 #[test]
 fn wire_traffic_matches_plan_prediction() {
-    // Bytes measured on the live link must match the plan's per-sample
-    // `size_at(split)` prediction exactly (payload part; framing adds a
-    // 17-byte header per response).
+    // Bytes measured on the live link must equal the plan's per-sample
+    // `size_at(split)` prediction plus the wire framing, exactly. The
+    // framing follows from the one frame layout (`storage::wire`): every
+    // frame is `ver:u8 request_id:u32 body crc32:u32`; a data body wraps
+    // its payload in `0x12 sample:u64 ops:u32`, the payload's stage
+    // header (`tag len:u32` for encoded bytes, `tag w:u32 h:u32` for a
+    // raster) and a trailing `tier:u8`; the Configure reply's body is one
+    // tag byte. The server's meter counts frames, not the TCP length
+    // prefix in front of each.
+    const FRAME: u64 = 1 + 4 + 4;
+    const CONFIGURED_REPLY: u64 = FRAME + 1;
+    let data_framing = |data: &StageData| -> u64 {
+        let stage_header = match data {
+            StageData::Encoded(_) => 1 + 4,
+            StageData::Image(_) | StageData::Tensor(_) => 1 + 4 + 4,
+        };
+        FRAME + 1 + 8 + 4 + stage_header + 1
+    };
     let (ds, store, pipeline) = live_setup();
     let model = CostModel::realistic();
     let profiles =
@@ -77,25 +93,18 @@ fn wire_traffic_matches_plan_prediction() {
     let expected_payload: u64 =
         profiles.iter().zip(plan.iter()).map(|(p, s)| p.size_at(s.offloaded_ops())).sum();
 
-    let mut server = StorageServer::spawn(
-        store,
-        ServerConfig {
-            cores: 3,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 32,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+    let (server, mut client) = serve(store, 3);
     client.configure(ds.seed, pipeline).unwrap();
     let reqs: Vec<_> = (0..N).map(|id| (id, 0u64, plan.split(id as usize))).collect();
     let responses = client.fetch_many(&reqs).unwrap();
     assert_eq!(responses.len(), N as usize);
+    let framing: u64 = responses.iter().map(|r| data_framing(&r.data)).sum();
 
-    let measured = server.response_bytes();
-    let framing = measured - expected_payload;
-    assert!(framing < N * 32, "framing overhead {framing} bytes is too large for {N} responses");
+    // Read the meter once the event loop has exited, so the last frame's
+    // bytes are counted.
+    let meter = server.meter();
     server.shutdown();
+    assert_eq!(meter.bytes(), expected_payload + framing + CONFIGURED_REPLY);
 }
 
 #[test]
@@ -132,16 +141,7 @@ fn augmentations_vary_across_epochs_through_the_server() {
     // §3.3: offloading must not freeze augmentations. Fetch the same sample
     // in two epochs with the same split; the crops must differ.
     let (ds, store, pipeline) = live_setup();
-    let mut server = StorageServer::spawn(
-        store,
-        ServerConfig {
-            cores: 1,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 8,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = server.client();
+    let (server, mut client) = serve(store, 1);
     client.configure(ds.seed, pipeline).unwrap();
     let a = client.fetch(3, 0, SplitPoint::new(2)).unwrap();
     let b = client.fetch(3, 1, SplitPoint::new(2)).unwrap();
@@ -160,7 +160,7 @@ fn loader_over_tcp_with_retry_and_compression() {
     // transport → offloading loader with wire re-compression → collated
     // NCHW batches identical in shape to local preprocessing.
     use sophon::loader::{LoaderConfig, OffloadingLoader};
-    use storage::{RetryingTransport, TcpStorageClient, TcpStorageServer};
+    use storage::RetryingTransport;
 
     let ds = DatasetSpec::mini(8, 123);
     let store = ObjectStore::materialize_dataset(&ds, 0..8);
@@ -170,19 +170,8 @@ fn loader_over_tcp_with_retry_and_compression() {
         ds.records().map(|r| r.analytic_profile(&pipeline, &model).best_split()).collect(),
     );
 
-    let server = TcpStorageServer::bind(
-        store,
-        ServerConfig {
-            cores: 2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            queue_depth: 16,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let transport =
-        RetryingTransport::new(TcpStorageClient::connect(server.local_addr()).unwrap(), 2);
+    let (server, client) = serve(store, 2);
+    let transport = RetryingTransport::new(client, 2);
     let mut config = LoaderConfig::new(ds.seed, 3);
     config.reencode_quality = Some(85);
     let mut loader = OffloadingLoader::new(transport, pipeline, plan, config).unwrap();
@@ -223,19 +212,12 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
     let (plan, _) = caching::plan_with_cache(&ctx, &assign);
 
     let run_epochs = |cache: Option<SampleCache>, epochs: &[u64]| {
-        let mut server = StorageServer::spawn(
-            store.clone(),
-            ServerConfig {
-                cores: 2,
-                bandwidth: Bandwidth::from_gbps(10.0),
-                queue_depth: 16,
-                ..ServerConfig::default()
-            },
-        );
+        let (server, client) = serve(store.clone(), 2);
+        let meter = server.meter();
         let mut batches: Vec<Vec<pipeline::TensorBatch>> = Vec::new();
-        let wire = match cache {
+        match cache {
             Some(cache) => {
-                let transport = CachingTransport::new(server.client(), cache);
+                let transport = CachingTransport::new(client, cache);
                 let mut loader = OffloadingLoader::new(
                     transport,
                     pipeline.clone(),
@@ -248,11 +230,10 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
                     loader.run_epoch(e, |b| got.push(b.clone())).unwrap();
                     batches.push(got);
                 }
-                server.response_bytes()
             }
             None => {
                 let mut loader = OffloadingLoader::new(
-                    server.client(),
+                    client,
                     pipeline.clone(),
                     plan.clone(),
                     LoaderConfig::new(ds.seed, 4),
@@ -263,11 +244,10 @@ fn warm_cache_epochs_are_bit_identical_to_cold_fetches() {
                     loader.run_epoch(e, |b| got.push(b.clone())).unwrap();
                     batches.push(got);
                 }
-                server.response_bytes()
             }
-        };
+        }
         server.shutdown();
-        (batches, wire)
+        (batches, meter.bytes())
     };
 
     // Cached run: epoch 0 cold (fills the cache), epochs 3 and 4 warm.
@@ -291,10 +271,10 @@ fn caching_and_retrying_transports_compose_either_way() {
     // Compile-time check: the decorators stack in either order under the
     // loader's `FetchTransport` bound.
     use cache::CachingTransport;
-    use storage::{FetchTransport, RetryingTransport, StorageClient, TcpStorageClient};
+    use storage::{FetchTransport, RetryingTransport};
 
     fn assert_transport<X: FetchTransport>() {}
-    assert_transport::<CachingTransport<RetryingTransport<StorageClient>>>();
+    assert_transport::<CachingTransport<RetryingTransport<TcpStorageClient>>>();
     assert_transport::<RetryingTransport<CachingTransport<TcpStorageClient>>>();
 }
 
